@@ -48,36 +48,16 @@ def lint_paths(
     select: Optional[Sequence[str]] = None,
     repo_root: Optional[str] = None,
 ) -> List[Finding]:
-    """Lint files/trees; returns all findings in stable order.
-
-    Per-file rules run through :func:`check_file`; the repo-wide
-    twin-fingerprint check (:mod:`repro.analysis.twins`) runs once
-    over the union of linted files, reporting only pairs that have a
-    side among them — so linting a lone fixture does not drag in the
-    whole twin registry, while ``lint src/`` checks every pair.
-    """
+    """Lint files/trees; returns all findings in stable order."""
     findings: List[Finding] = []
     root: Optional[str] = repo_root
-    linted: List[str] = []
     for path in paths:
+        root = root or find_repo_root(path)
         if os.path.isdir(path):
-            root = root or find_repo_root(path)
             for file_path in iter_python_files(path):
                 findings.extend(check_file(file_path, root, select))
-                linted.append(file_path)
         else:
-            root = root or find_repo_root(path)
             findings.extend(check_file(path, root, select))
-            linted.append(path)
-    if linted and root and (select is None or "twin-drift" in select):
-        from repro.analysis import twins
-
-        rel = {
-            registry.normalize(os.path.relpath(os.path.abspath(p), root))
-            for p in linted
-        }
-        for fpath, line, message in twins.check_fingerprints(root, rel):
-            findings.append(Finding(fpath, line, "twin-drift", message))
     return sorted(findings, key=lambda f: (f.path, f.line, f.rule))
 
 

@@ -66,12 +66,6 @@ mypyc can compile:
 **Dataflow passes (v2)** — whole-function/whole-repo analyses built
 on :mod:`repro.analysis.flow` (see DESIGN.md §8):
 
-* ``twin-drift`` — a declared oracle-twin pair (scalar loop ↔
-  ``_Lane.advance``, ``issue_screen`` ↔ ``_screened_wake``,
-  ``TimingCore`` slots ↔ slab columns, compiled-module APIs) changed
-  without its committed fingerprint being regenerated
-  (:mod:`repro.analysis.twins`), or an in-file ``REPRO_TWIN_PAIRS``
-  pair diverged structurally.
 * ``cow-unsafe-mutation`` — in-place mutation of a possibly-shared
   copy-on-write value not dominated by the declared privatization
   (:mod:`repro.analysis.cowcheck`); intentional sharing is declared
@@ -134,8 +128,6 @@ ALL_RULES: Tuple[Rule, ...] = (
          "mutable default argument"),
     Rule("compiled-incompatible", "compiled-engine",
          "mypyc-incompatible construct in a compiled-engine module"),
-    Rule("twin-drift", "twin-parity",
-         "oracle-twin pair edited without regenerating its fingerprint"),
     Rule("cow-unsafe-mutation", "cow-aliasing",
          "in-place mutation of a possibly-shared COW value without "
          "dominating privatization"),
@@ -811,13 +803,8 @@ def check_file(
 def _run_dataflow_passes(
     checker: _ModuleChecker, tree: ast.Module, path: str, source: str
 ) -> None:
-    """Apply the v2 dataflow passes (COW, timing, in-file twins).
-
-    The repo-wide twin *fingerprint* check lives in
-    :func:`repro.analysis.lint.lint_paths` — it is a property of the
-    tree, not of any one file.
-    """
-    from repro.analysis import constraints, cowcheck, twins
+    """Apply the v2 dataflow passes (COW aliasing, timing coverage)."""
+    from repro.analysis import constraints, cowcheck
 
     for line, message in cowcheck.check_module(
         tree, path, must_declare=registry.is_cow_module(path)
@@ -830,7 +817,3 @@ def _run_dataflow_passes(
             checker.findings.append(
                 Finding(path, line, "timing-unchecked-issue", message)
             )
-    for fpath, line, message in twins.check_in_file(tree, path):
-        checker.findings.append(
-            Finding(fpath, line, "twin-drift", message)
-        )

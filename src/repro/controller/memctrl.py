@@ -751,57 +751,6 @@ class ChannelController:
                 bank=bank_idx, implicit=implicit))
 
     # ------------------------------------------------------------------
-    def issue_screen(self, cycle: int) -> "int | None":
-        """Pre-issue screen: can this controller possibly do anything?
-
-        Returns the exact hint a :meth:`step` call at ``cycle`` would
-        return — **proving** that call would issue nothing and mutate
-        nothing — or ``None`` when a real step is (or may be) needed.
-        The batch layer (:mod:`repro.sim.batch`) uses this to keep idle
-        lanes out of the scalar hot path entirely; the conditions are a
-        flat conjunction over state the lane-major slabs carry
-        column-wise (``open_bits``, ``pd``, ``next_refresh``), so a
-        cohort of lanes can evaluate the array-backed part in one
-        whole-column operation and fall into this scalar predicate only
-        for the per-queue checks.
-
-        Exactly two step shapes are screenable:
-
-        * **busy bus** — no overflow and ``cycle < cmd_bus_free``:
-          ``step`` bails immediately with ``(False, cmd_bus_free)``;
-        * **empty idle** — no overflow, both queues empty, no open
-          banks, power-down (when the policy uses it) already entered
-          on every rank, and every refresh deadline in the future:
-          the rank walk and both passes fall through side-effect-free
-          and ``step`` returns ``(False, min(next_refresh))``.
-
-        Anything else (queued work, due refresh, open rows to close,
-        a rank still awaiting power-down entry) can mutate state or
-        issue, so the screen declines.
-        """
-        if self.overflow:
-            return None
-        bus_free = self.channel.cmd_bus_free
-        if cycle < bus_free:
-            return bus_free
-        if self.read_q._count or self.write_q._count:
-            return None
-        if self.draining:
-            # An idle step would still flip the drain-hysteresis flag
-            # off (writes_pending <= lo_mark), and *when* that happens
-            # is observable once new writes arrive — not screenable.
-            return None
-        core = self._core
-        if any(core.open_bits):
-            return None
-        if self._uses_power_down and not all(core.pd):
-            return None
-        nr = min(core.next_refresh)
-        if cycle >= nr:
-            return None
-        return nr
-
-    # ------------------------------------------------------------------
     def run_until(self, cycle: int, limit: int) -> int:
         """Issue commands from ``cycle`` until (exclusive) ``limit``.
 

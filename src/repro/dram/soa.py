@@ -33,11 +33,17 @@ kernel's lane-major slabs (:mod:`repro.dram.soa_batch`) carry the full
 idle-screen state: whether a lane's channel can possibly issue anything
 (open banks, pending refresh, power-down residency) is then answerable
 column-wise across lanes without touching the ``Rank`` objects.
+
+:data:`TIMING_FIELDS` declares the per-bank and per-rank fields once.
+The slab allocates one lane-major column per entry and rebinds lane
+views from it; ``TimingCore`` spells the same fields out with exact
+types because the mypyc build needs them, and
+``tests/test_batch.py`` pins its slots and fills to the schema.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.dram.geometry import FULL_MASK
 
@@ -54,8 +60,35 @@ ORACLE_TESTS = (
 )
 
 
+#: ``(name, fill, extent)`` per timing field, in slot order: ``extent``
+#: is ``"bank"`` (one element per ``g = rank * num_banks + bank``) or
+#: ``"rank"`` (one per rank); ``fill`` is the freshly built value.
+TIMING_FIELDS: Tuple[Tuple[str, Optional[int], str], ...] = (
+    ("open_row", -1, "bank"),
+    ("open_mask", FULL_MASK, "bank"),
+    ("act_ready", 0, "bank"),
+    ("col_ready", 0, "bank"),
+    ("pre_ready", 0, "bank"),
+    ("last_act", -1, "bank"),
+    ("accesses", 0, "bank"),
+    ("autopre", False, "bank"),
+    ("reserved", None, "bank"),
+    ("next_act_ok", 0, "rank"),
+    ("next_col_ok", 0, "rank"),
+    ("next_read_ok", 0, "rank"),
+    ("next_write_ok", 0, "rank"),
+    ("gate", 0, "rank"),
+    ("open_bits", 0, "rank"),
+    ("pd", 0, "rank"),
+    ("next_refresh", 0, "rank"),
+)
+
+
 class TimingCore:
-    """Flat per-(rank, bank) and per-rank timing state for one channel."""
+    """Flat per-(rank, bank) and per-rank timing state for one channel.
+
+    The fields are :data:`TIMING_FIELDS`, spelled out with exact types.
+    """
 
     __slots__ = (
         "num_ranks",

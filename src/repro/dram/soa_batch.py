@@ -2,23 +2,24 @@
 
 :class:`BatchTimingCore` is :class:`~repro.dram.soa.TimingCore` with a
 leading *lane* dimension: every flat per-(rank,bank) and per-rank
-integer vector becomes a matrix whose row ``lane`` is one grid point's
-channel state.  The batch event loop (:mod:`repro.sim.batch`) allocates
-one slab per channel index and hands each lane its row set via
-:meth:`lane` — a real :class:`TimingCore` whose slots *are* the slab
-rows, so the controller's scheduling passes (which bind the arrays as
-locals and mutate them in place) run unchanged against lane-sliced
-views, and bit-identity with the scalar engine holds by construction.
+vector declared in :data:`~repro.dram.soa.TIMING_FIELDS` becomes a
+matrix whose row ``lane`` is one grid point's channel state.  The
+batch event loop (:mod:`repro.sim.batch`) allocates one slab per
+channel index and hands each lane its row set via :meth:`lane` — a
+real :class:`TimingCore` whose slots *are* the slab rows, so the
+controller's scheduling passes (which bind the arrays as locals and
+mutate them in place) run unchanged against lane-sliced views, and
+bit-identity with the scalar engine holds by construction.
 
-Bulk operations — allocating and resetting whole slabs — go through a
-backend selected at import: numpy (installed via the ``.[fast]`` extra)
-builds each matrix in one vectorized call, the pure-list fallback uses
-per-lane list ops.  Both produce *identical* structures (nested plain
-lists of Python ints/bools: ``ndarray.tolist()`` converts element
-types), so the backend can never change simulation results — only how
-fast lane state is materialized.  ``REPRO_BATCH_BACKEND=list|numpy``
-forces a backend; :data:`HAVE_NUMPY` is the loud-skip shim tests and
-callers consult.
+Slab allocation goes through a backend selected at import: numpy
+(installed via the ``.[fast]`` extra) builds each matrix in one
+vectorized call, the pure-list fallback uses per-lane list ops.  Both
+produce *identical* structures (nested plain lists of Python
+ints/bools: ``ndarray.tolist()`` converts element types), so the
+backend can never change simulation results — only how fast lane
+state is materialized.  ``REPRO_BATCH_BACKEND=list|numpy`` forces a
+backend; :data:`HAVE_NUMPY` is the loud-skip shim tests and callers
+consult.
 
 Why the *hot path* stays scalar per lane: the FR-FCFS scheduler is
 deeply data-dependent (burst-streak commits, useless-row masks) and
@@ -28,24 +29,22 @@ scalars.  The lane dimension instead amortizes allocation, snapshot
 restore and event-loop interpreter overhead — see DESIGN.md §7.
 
 What *is* vectorized across lanes are the **cohort kernel ops** at the
-bottom of this module (:func:`decay_timers`, :func:`open_row_hits`,
-:func:`mask_compatible`, :func:`refresh_due`, :func:`next_wake_min`,
-:func:`power_down_resident`): column-wise reductions and updates over
-the lane-major matrices for every lane sharing a wake cycle.  The
-cohort-stepping loop (:meth:`repro.sim.batch.BatchSystem.run`) uses
-them to evaluate the controller pre-issue screen
-(:meth:`repro.controller.memctrl.ChannelController.issue_screen`) and
-recompute wake hints for whole cohorts without entering per-lane
-scheduler code.  Both backends return identical plain Python values.
+bottom of this module (:func:`open_row_hits`, :func:`refresh_due`,
+:func:`power_down_resident`, :func:`next_wake_min`): read-only
+column-wise reductions over the lane-major matrices for every lane
+sharing a wake cycle.  The cohort-stepping loop
+(:meth:`repro.sim.batch.BatchSystem.run`) uses them to feed the idle
+screen (:func:`repro.sim.batch._screened_wake`) and recompute wake
+hints for whole cohorts without entering per-lane scheduler code.
+Both backends return identical plain Python values.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.dram.geometry import FULL_MASK
-from repro.dram.soa import TimingCore
+from repro.dram.soa import TIMING_FIELDS, TimingCore
 
 try:  # the `.[fast]` optional extra; tier-1 must run without it
     import numpy as _numpy
@@ -124,17 +123,11 @@ ORACLE_TWIN = "repro.dram.soa"
 ORACLE_TESTS = ("tests/test_batch.py",)
 
 # COW contract for the aliasing pass (repro.analysis.cowcheck): every
-# slab matrix row is aliased by the TimingCore views lane() hands out,
-# so any in-place write through a row is visible to a live lane.  The
-# administrative ops below that mutate rows on purpose (reset_lane,
-# decay_timers) carry explicit shares[...] pragmas.
+# column row is aliased by the TimingCore views lane() hands out, so any
+# in-place write through a row is visible to a live lane.  Nothing in
+# this module writes through one.
 REPRO_COW_PROTOCOL = {
-    "shared_roots": (
-        "open_row", "open_mask", "act_ready", "col_ready", "pre_ready",
-        "last_act", "accesses", "autopre", "reserved", "next_act_ok",
-        "next_col_ok", "next_read_ok", "next_write_ok", "gate",
-        "open_bits", "pd", "next_refresh",
-    ),
+    "shared_roots": ("columns",),
     "shared_calls": ("lane",),
     "privatizers": (),
 }
@@ -143,38 +136,16 @@ REPRO_COW_PROTOCOL = {
 class BatchTimingCore:
     """Lane-major DRAM timing state: one slab for N lanes of a channel.
 
-    Field names and encodings match :class:`~repro.dram.soa.TimingCore`
-    exactly; every field just gains a leading lane dimension.  Row
-    ``lane`` of each matrix is the lane's live state — :meth:`lane`
-    returns a ``TimingCore`` whose slots alias those rows, so there is
-    exactly one copy of the state and no synchronization step.
+    :attr:`columns` holds one matrix per
+    :data:`~repro.dram.soa.TIMING_FIELDS` entry, with the same name
+    and encoding as the :class:`~repro.dram.soa.TimingCore` field plus
+    a leading lane dimension.  Row ``lane`` of each matrix is the
+    lane's live state — :meth:`lane` returns a ``TimingCore`` whose
+    slots alias those rows, so there is exactly one copy of the state
+    and no synchronization step.
     """
 
-    __slots__ = (
-        "num_lanes",
-        "num_ranks",
-        "num_banks",
-        "backend",
-        # -- lane-major per-bank matrices: [lane][rank*num_banks+bank] --
-        "open_row",
-        "open_mask",
-        "act_ready",
-        "col_ready",
-        "pre_ready",
-        "last_act",
-        "accesses",
-        "autopre",
-        "reserved",
-        # -- lane-major per-rank matrices: [lane][rank] --
-        "next_act_ok",
-        "next_col_ok",
-        "next_read_ok",
-        "next_write_ok",
-        "gate",
-        "open_bits",
-        "pd",
-        "next_refresh",
-    )
+    __slots__ = ("num_lanes", "num_ranks", "num_banks", "backend", "columns")
 
     def __init__(
         self,
@@ -200,24 +171,19 @@ class BatchTimingCore:
         self.num_ranks = num_ranks
         self.num_banks = num_banks
         self.backend = backend
-        n = num_ranks * num_banks
-        self.open_row = full_rows(num_lanes, n, -1, backend)
-        self.open_mask = full_rows(num_lanes, n, FULL_MASK, backend)
-        self.act_ready = full_rows(num_lanes, n, 0, backend)
-        self.col_ready = full_rows(num_lanes, n, 0, backend)
-        self.pre_ready = full_rows(num_lanes, n, 0, backend)
-        self.last_act = full_rows(num_lanes, n, -1, backend)
-        self.accesses = full_rows(num_lanes, n, 0, backend)
-        self.autopre = false_rows(num_lanes, n, backend)
-        self.reserved = none_rows(num_lanes, n)
-        self.next_act_ok = full_rows(num_lanes, num_ranks, 0, backend)
-        self.next_col_ok = full_rows(num_lanes, num_ranks, 0, backend)
-        self.next_read_ok = full_rows(num_lanes, num_ranks, 0, backend)
-        self.next_write_ok = full_rows(num_lanes, num_ranks, 0, backend)
-        self.gate = full_rows(num_lanes, num_ranks, 0, backend)
-        self.open_bits = full_rows(num_lanes, num_ranks, 0, backend)
-        self.pd = full_rows(num_lanes, num_ranks, 0, backend)
-        self.next_refresh = full_rows(num_lanes, num_ranks, 0, backend)
+        #: Field name -> lane-major matrix: ``[lane][g]`` for per-bank
+        #: fields (``g = rank * num_banks + bank``), ``[lane][rank]``
+        #: for per-rank ones.
+        self.columns: Dict[str, List[list]] = {}
+        for name, fill, extent in TIMING_FIELDS:
+            width = num_ranks * num_banks if extent == "bank" else num_ranks
+            if fill is None:
+                rows: List[list] = none_rows(num_lanes, width)
+            elif isinstance(fill, bool):
+                rows = false_rows(num_lanes, width, backend)
+            else:
+                rows = full_rows(num_lanes, width, fill, backend)
+            self.columns[name] = rows
 
     # ------------------------------------------------------------------
     def lane(self, lane: int) -> TimingCore:
@@ -230,84 +196,20 @@ class BatchTimingCore:
         if not 0 <= lane < self.num_lanes:
             raise IndexError(f"lane {lane} out of range 0..{self.num_lanes - 1}")
         core = TimingCore(self.num_ranks, self.num_banks)
-        core.open_row = self.open_row[lane]
-        core.open_mask = self.open_mask[lane]
-        core.act_ready = self.act_ready[lane]
-        core.col_ready = self.col_ready[lane]
-        core.pre_ready = self.pre_ready[lane]
-        core.last_act = self.last_act[lane]
-        core.accesses = self.accesses[lane]
-        core.autopre = self.autopre[lane]
-        core.reserved = self.reserved[lane]
-        core.next_act_ok = self.next_act_ok[lane]
-        core.next_col_ok = self.next_col_ok[lane]
-        core.next_read_ok = self.next_read_ok[lane]
-        core.next_write_ok = self.next_write_ok[lane]
-        core.gate = self.gate[lane]
-        core.open_bits = self.open_bits[lane]
-        core.pd = self.pd[lane]
-        core.next_refresh = self.next_refresh[lane]
+        for name, rows in self.columns.items():
+            setattr(core, name, rows[lane])
         return core
-
-    def lanes(self) -> List[TimingCore]:
-        """All lane views, in lane order."""
-        return [self.lane(i) for i in range(self.num_lanes)]
-
-    # ------------------------------------------------------------------
-    def open_banks_per_lane(self) -> List[int]:
-        """Open-bank count per lane, as one cross-lane reduction.
-
-        Diagnostic/verification helper: with numpy the popcount over
-        the lane-major ``open_row`` matrix is a single whole-array op;
-        the fallback reduces per lane.  Both count ``open_row != -1``.
-        """
-        if self.backend == "numpy":
-            assert _numpy is not None
-            arr = _numpy.array(self.open_row, dtype=_numpy.int64)
-            counts: List[int] = (arr != -1).sum(axis=1).tolist()
-            return counts
-        return [
-            sum(1 for row in lane_rows if row != -1) for lane_rows in self.open_row
-        ]
-
-    def reset_lane(self, lane: int) -> None:
-        """Re-initialize one lane's rows in place (views stay valid).
-
-        In-place slice assignment preserves the row object identity the
-        lane views and any bound controller locals alias.
-        """
-        n = self.num_ranks * self.num_banks
-        self.open_row[lane][:] = [-1] * n  # reprolint: shares[resetting through the shared row is the point: lane views must see the fresh state]
-        self.open_mask[lane][:] = [FULL_MASK] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.act_ready[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.col_ready[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.pre_ready[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.last_act[lane][:] = [-1] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.accesses[lane][:] = [0] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.autopre[lane][:] = [False] * n  # reprolint: shares[in-place reset aliased by lane views]
-        self.reserved[lane][:] = [None] * n  # reprolint: shares[in-place reset aliased by lane views]
-        for field in (
-            self.next_act_ok,
-            self.next_col_ok,
-            self.next_read_ok,
-            self.next_write_ok,
-            self.gate,
-            self.open_bits,
-            self.pd,
-            self.next_refresh,
-        ):
-            field[lane][:] = [0] * self.num_ranks  # reprolint: shares[in-place reset aliased by lane views]
 
 
 # ----------------------------------------------------------------------
-# Cohort kernel ops: column-wise reductions/updates over lane subsets.
+# Cohort kernel ops: column-wise reductions over lane subsets.
 #
 # Each op takes the slab plus the *slots* (lane indices) of a cohort —
 # the lanes whose event loops woke at the same cycle — and evaluates one
 # screen ingredient for all of them at once.  The numpy path gathers the
 # cohort's rows into a single array op; the list path reduces per lane.
 # Both return plain Python ints/bools so results are backend-invariant,
-# and neither mutates anything except where documented (decay_timers).
+# and neither mutates anything.
 # ----------------------------------------------------------------------
 
 
@@ -320,17 +222,16 @@ def open_row_hits(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
     OR-fold of ``open_bits`` across the lane's ranks (which banks could
     still serve hits).
     """
+    open_bits = slab.columns["open_bits"]
     if slab.backend == "numpy":
         assert _numpy is not None
-        rows = _numpy.array(
-            [slab.open_bits[s] for s in slots], dtype=_numpy.int64
-        )
+        rows = _numpy.array([open_bits[s] for s in slots], dtype=_numpy.int64)
         out: List[int] = _numpy.bitwise_or.reduce(rows, axis=1).tolist()
         return out
     result = []
     for s in slots:
         bits = 0
-        for b in slab.open_bits[s]:
+        for b in open_bits[s]:
             bits |= b
         result.append(bits)
     return result
@@ -345,14 +246,13 @@ def refresh_due(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
     (``min(next_refresh)``), which lets the cohort loop re-arm screened
     lanes without calling ``step()``.
     """
+    next_refresh = slab.columns["next_refresh"]
     if slab.backend == "numpy":
         assert _numpy is not None
-        rows = _numpy.array(
-            [slab.next_refresh[s] for s in slots], dtype=_numpy.int64
-        )
+        rows = _numpy.array([next_refresh[s] for s in slots], dtype=_numpy.int64)
         out: List[int] = rows.min(axis=1).tolist()
         return out
-    return [min(slab.next_refresh[s]) for s in slots]
+    return [min(next_refresh[s]) for s in slots]
 
 
 def power_down_resident(
@@ -364,72 +264,13 @@ def power_down_resident(
     still out of power-down owes a PD-entry command and cannot be
     screened.  Non-PD schemes skip this op entirely.
     """
+    pd = slab.columns["pd"]
     if slab.backend == "numpy":
         assert _numpy is not None
-        rows = _numpy.array([slab.pd[s] for s in slots], dtype=_numpy.int64)
+        rows = _numpy.array([pd[s] for s in slots], dtype=_numpy.int64)
         out: List[bool] = rows.all(axis=1).tolist()
         return out
-    return [all(slab.pd[s]) for s in slots]
-
-
-def mask_compatible(
-    slab: BatchTimingCore, slots: Sequence[int], g: int, needed: int
-) -> List[bool]:
-    """Whether bank ``g``'s open partial row covers ``needed`` per lane.
-
-    Column read across the cohort of the PRA coverage test the scalar
-    scheduler applies per request (``needed & ~open_mask == 0``): True
-    means the lane's open activation already spans every segment the
-    access touches, so a row hit would not need a re-activation.
-    """
-    if slab.backend == "numpy":
-        assert _numpy is not None
-        col = _numpy.array(
-            [slab.open_mask[s][g] for s in slots], dtype=_numpy.int64
-        )
-        out: List[bool] = ((needed & ~col) == 0).tolist()
-        return out
-    return [(needed & ~slab.open_mask[s][g]) == 0 for s in slots]
-
-
-def decay_timers(
-    slab: BatchTimingCore, slots: Sequence[int], cycle: int
-) -> None:
-    """Clamp stale per-rank readiness timers up to ``cycle``, in place.
-
-    Elementwise ``max(timer, cycle)`` over the cohort's per-rank timer
-    rows (tRRD/tCCD/turnaround/hold/gate).  Behavior-preserving for
-    lanes at ``cycle``: the controller only ever consults these values
-    via ``cycle >= t`` comparisons or max-folds against cycles ``>=
-    cycle``, so a timer that already expired (``< cycle``) is
-    indistinguishable from one clamped to ``cycle``.  Normalizing keeps
-    the slab columns monotone — every live timer ``>= cycle`` — which
-    is the invariant :func:`next_wake_min` relies on to skip per-element
-    clamping when folding wake candidates.
-    """
-    columns = (
-        slab.next_act_ok,
-        slab.next_col_ok,
-        slab.next_read_ok,
-        slab.next_write_ok,
-        slab.gate,
-    )
-    if slab.backend == "numpy":
-        assert _numpy is not None
-        for matrix in columns:
-            rows = _numpy.array(
-                [matrix[s] for s in slots], dtype=_numpy.int64
-            )
-            clamped = _numpy.maximum(rows, cycle).tolist()
-            for s, row in zip(slots, clamped):
-                matrix[s][:] = row  # reprolint: shares[clamping timers in place is behavior-preserving and must reach live lane views]
-        return
-    for matrix in columns:
-        for s in slots:
-            row = matrix[s]
-            for i, v in enumerate(row):
-                if v < cycle:
-                    row[i] = cycle  # reprolint: shares[clamping timers in place is behavior-preserving and must reach live lane views]
+    return [all(pd[s]) for s in slots]
 
 
 def next_wake_min(
@@ -437,11 +278,11 @@ def next_wake_min(
 ) -> List[int]:
     """Row-wise min over per-lane wake-candidate rows.
 
-    Each row collects one lane's wake candidates (screen hint, pending
-    completion, core event horizon); the result is the lane's next
-    event cycle.  Rows must be non-empty and, per the
-    :func:`decay_timers` invariant, already ``>= `` the current cycle —
-    the fold does no clamping.
+    Each row collects one lane's wake candidates: its controller wake
+    hints, its core event horizon ``core_min`` and its external-event
+    ``limit``.  The result is the lane's next event cycle.  Rows must be
+    non-empty; the fold does no clamping (the caller bumps a result at
+    or below the current cycle to ``cycle + 1``).
     """
     if backend == "numpy" and HAVE_NUMPY:
         assert _numpy is not None

@@ -18,18 +18,18 @@ drives them all through one shared event loop.
   path is byte-for-byte the scalar one and bit-identity holds by
   construction.
 * **Shared wake heap keyed ``(cycle, lane)``.**  Popping the heap
-  advances the earliest-due lane by exactly one pass of the scalar
-  engine's six-phase loop body (:meth:`_Lane.advance` transcribes
-  ``System.run``), then re-keys it at its next event cycle.  Each
-  lane's pass sequence is identical to its solo run; the heap only
-  interleaves lanes, it never reorders one lane's events.
+  advances the earliest-due lane by exactly one pass of the event
+  loop — :meth:`repro.sim.system._Lane.advance`, the same step
+  ``System.run`` drives for a serial run — then re-keys it at its
+  next event cycle.  Each lane's pass sequence is identical to its
+  solo run; the heap only interleaves lanes, it never reorders one
+  lane's events.
 * **Cohort stepping.**  All lanes waking at the same cycle pop
   together as a *cohort*.  Lanes whose pass would provably do nothing
   but probe idle controllers are screened out column-wise: the slab
-  ingredients of the controller pre-issue screen
-  (:meth:`~repro.controller.memctrl.ChannelController.issue_screen`)
-  — open-bank bits, power-down residency, refresh horizons — are
-  evaluated for the whole cohort with one array op each
+  ingredients of the idle screen (:func:`_screened_wake`) — open-bank
+  bits, power-down residency, refresh horizons — are evaluated for
+  the whole cohort with one array op each
   (:func:`~repro.dram.soa_batch.open_row_hits` /
   :func:`~repro.dram.soa_batch.power_down_resident` /
   :func:`~repro.dram.soa_batch.refresh_due`), and screened lanes are
@@ -67,7 +67,6 @@ from repro.dram.soa import TimingCore
 from repro.dram.soa_batch import (
     HAVE_NUMPY,
     BatchTimingCore,
-    decay_timers,
     next_wake_min,
     open_row_hits,
     power_down_resident,
@@ -77,7 +76,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.results import SimResult
 from repro.sim.snapshot import default_warmup, warm_fingerprint
 from repro.sim.sweep import SweepContext, _apply_point
-from repro.sim.system import OVERFLOW_STALL_THRESHOLD, System
+from repro.sim.system import System, _Lane
 from repro.workloads.mixes import Workload
 from repro.workloads.mixes import workload as lookup_workload
 
@@ -114,17 +113,34 @@ def _screened_wake(
     horizon: int,
     pd_all: Optional[bool],
 ) -> Optional[Tuple[int, bool]]:
-    """Column-fed twin of ``ChannelController.issue_screen``.
+    """The idle screen: can this controller's ``step`` at ``local`` do anything?
 
-    Same predicate, same check order; the slab-backed ingredients
-    (open-bank union ``hit``, refresh ``horizon``, power-down
-    residency ``pd_all``) arrive precomputed by the cohort column ops
-    instead of being re-read per controller.  Returns ``(wake,
-    is_idle_shape)`` — the exact hint a ``step`` at ``local`` would
-    return plus which screenable shape matched (busy bus vs empty
-    idle) — or ``None`` when a real step is needed.  Any edit here
-    must mirror ``issue_screen`` (and vice versa); the cohort identity
-    suite pins the two together end to end.
+    Returns ``(wake, is_idle_shape)`` — the exact hint a
+    :meth:`~repro.controller.memctrl.ChannelController.step` call at
+    ``local`` would return, **proving** that call would issue nothing
+    and mutate nothing, plus which screenable shape matched — or
+    ``None`` when a real step is (or may be) needed.  The slab-backed
+    ingredients (open-bank union ``hit``, earliest refresh deadline
+    ``horizon``, power-down residency ``pd_all``) arrive precomputed by
+    the cohort column ops; only the per-queue checks read the
+    controller.
+
+    Exactly two ``step`` shapes are screenable:
+
+    * **busy bus** — no overflow and ``local < cmd_bus_free``: ``step``
+      bails immediately with ``(False, cmd_bus_free)``;
+    * **empty idle** — no overflow, both queues empty, not draining,
+      no open banks, power-down (when the policy uses it) already
+      entered on every rank, and every refresh deadline in the future:
+      the rank walk and both passes fall through side-effect-free and
+      ``step`` returns ``(False, min(next_refresh))``.
+
+    Anything else (queued work, due refresh, open rows to close, a rank
+    still awaiting power-down entry) can mutate state or issue.  A
+    draining controller is declined too: an idle step would still flip
+    the drain-hysteresis flag off, and *when* that happens is observable
+    once new writes arrive.  The cohort identity suite
+    (``tests/test_batch.py``) pins screened runs to unscreened ones.
     """
     if ctrl.overflow:
         return None
@@ -142,145 +158,6 @@ def _screened_wake(
     if local >= horizon:
         return None
     return horizon, True
-
-
-class _Lane:
-    """One grid point's System plus its private event-loop state."""
-
-    __slots__ = ("index", "system", "cycle", "wake", "heap", "core_next", "result")
-
-    def __init__(self, index: int, system: System) -> None:
-        self.index = index
-        self.system = system
-        self.cycle = 0
-        controllers = system.controllers
-        #: Authoritative next-wake cycle per controller (heap entries
-        #: that disagree are stale) — same contract as ``System.run``.
-        self.wake = [0] * len(controllers)
-        self.heap = [(0, idx) for idx in range(len(controllers))]
-        heapify(self.heap)
-        #: Lower bound on each core's next action cycle.
-        self.core_next = [0] * len(system.cores)
-        self.result: Optional[SimResult] = None
-
-    # ------------------------------------------------------------------
-    def advance(self) -> Optional[int]:
-        """One pass of the scalar engine's loop body at ``self.cycle``.
-
-        Transcribes the six phases of :meth:`System.run` (deliver
-        completions, advance cores, compute the external-event horizon,
-        batch-run due/dirtied controllers, check termination, pick the
-        next event cycle).  Returns the lane's next event cycle, or
-        ``None`` when the lane finished (then :meth:`finalize`).
-        """
-        system = self.system
-        cycle = self.cycle
-        cores = system.cores
-        controllers = system.controllers
-        demand_map = system._demand_map
-        wake = self.wake
-        heap = self.heap
-        core_next = self.core_next
-
-        # 1. Deliver completed demand fills due by now.
-        next_completion = NEVER
-        for ctrl in controllers:
-            cr = ctrl.completed_reads
-            if not cr:
-                continue
-            if cr[0][0] <= cycle:
-                i = 0
-                n = len(cr)
-                while i < n and cr[i][0] <= cycle:
-                    done_cycle, req = cr[i]
-                    core = demand_map.pop(req.req_id, None)
-                    if core is not None:
-                        core.on_fill_complete(req.req_id, done_cycle)
-                        core_next[core.core_id] = 0
-                    i += 1
-                del cr[:i]
-                if not cr:
-                    continue
-            if cr[0][0] < next_completion:
-                next_completion = cr[0][0]
-
-        # 2. Advance cores (held back under heavy backpressure).
-        stalled = False
-        for ctrl in controllers:
-            if ctrl.overflow:
-                total_overflow = sum(len(c.overflow) for c in controllers)
-                stalled = total_overflow > OVERFLOW_STALL_THRESHOLD
-                break
-        if not stalled:
-            for idx, core in enumerate(cores):
-                if core_next[idx] > cycle:
-                    continue
-                while True:
-                    event = core.try_advance(cycle)
-                    if event is None:
-                        break
-                    system._process_access(core, event, cycle)
-                core_next[idx] = core.next_action_cycle(cycle)
-
-        # 3. External-event horizon for controller batching.
-        core_min = NEVER
-        for action in core_next:
-            if action < core_min:
-                core_min = action
-        limit = next_completion if next_completion < core_min else core_min
-        if limit <= cycle:
-            limit = cycle + 1
-
-        # 4. Batch-run due (heap) and dirtied channels to the horizon.
-        dirty = system._dirty_channels
-        system._dirty_channels = 0
-        while heap and heap[0][0] <= cycle:
-            w, idx = heappop(heap)
-            if w != wake[idx]:
-                continue  # stale entry superseded by a dirty re-run
-            dirty &= ~(1 << idx)
-            w = controllers[idx].run_until(cycle, limit)
-            wake[idx] = w
-            heappush(heap, (w, idx))
-        while dirty:
-            idx = (dirty & -dirty).bit_length() - 1
-            dirty &= dirty - 1
-            w = controllers[idx].run_until(cycle, limit)
-            wake[idx] = w
-            heappush(heap, (w, idx))
-
-        # 5. Termination check — same predicate as the scalar loop.
-        for core in cores:
-            if not core.done:
-                break
-        else:
-            if not any(ctrl.pending for ctrl in controllers) and not any(
-                ctrl.completed_reads for ctrl in controllers
-            ):
-                return None
-
-        # 6. Jump to the lane's earliest future event.
-        while heap and heap[0][0] != wake[heap[0][1]]:
-            heappop(heap)  # shed stale entries so the top is live
-        nxt = heap[0][0] if heap else NEVER
-        if core_min < nxt:
-            nxt = core_min
-        for ctrl in controllers:
-            cr = ctrl.completed_reads
-            if cr and cr[0][0] < nxt:
-                nxt = cr[0][0]
-        self.cycle = nxt if nxt > cycle else cycle + 1
-        return self.cycle
-
-    def finalize(self) -> SimResult:
-        """Flush background state and summarize, as the scalar loop does."""
-        system = self.system
-        end_cycle = self.cycle
-        for ctrl in system.controllers:
-            if ctrl.local_clock > end_cycle:
-                end_cycle = ctrl.local_clock
-        self.result = system._finalize(end_cycle)
-        return self.result
 
 
 class BatchSystem:
@@ -467,9 +344,8 @@ class BatchSystem:
 
         A lane can skip its scalar pass entirely when the pass would
         provably only *probe*: no demand completions due, no cores due,
-        no dirtied channels, and every due controller's
-        :meth:`~repro.controller.memctrl.ChannelController.issue_screen`
-        proves its ``run_until`` would return a wake hint without
+        no dirtied channels, and :func:`_screened_wake` proves every due
+        controller's ``run_until`` would return a wake hint without
         issuing or mutating anything.  For those lanes this method
         replicates the pass's only observable effects — the new per-
         controller wake hints and the lane's next event cycle — and
@@ -481,11 +357,8 @@ class BatchSystem:
         The slab-backed screen ingredients (open-bank bits, power-down
         residency, refresh horizons) are gathered per (geometry group,
         channel) with one column op each across the cohort's slots;
-        :func:`~repro.dram.soa_batch.decay_timers` then normalizes the
-        per-rank timer columns of fully-idle screened lanes so slab
-        columns stay monotone, and
-        :func:`~repro.dram.soa_batch.next_wake_min` folds each screened
-        lane's wake candidates into its next event cycle.
+        :func:`~repro.dram.soa_batch.next_wake_min` then folds each
+        screened lane's wake candidates into its next event cycle.
         """
         lanes = self.lanes
         scalar: List[int] = []
@@ -557,14 +430,12 @@ class BatchSystem:
 
         # Scalar residue: compose the per-queue checks with the column
         # values; any unscreenable controller sends its lane scalar.
-        screened: List[Tuple[int, int]] = []  # (lane index, group)
+        screened: List[int] = []
         wake_rows: List[List[int]] = []
-        idle_pairs: Dict[Tuple[int, int], List[int]] = {}
         for index, core_min, limit in fast:
             lane = lanes[index]
             controllers = lane.system.controllers
             new_wakes: Dict[int, int] = {}
-            all_idle = True
             ok = True
             for ctrl_idx in lane_due[index]:
                 ctrl = controllers[ctrl_idx]
@@ -573,7 +444,6 @@ class BatchSystem:
                 if local >= limit:
                     # run_until bails before stepping; no screen ran.
                     new_wakes[ctrl_idx] = local
-                    all_idle = False
                     continue
                 hit, horizon, pd_all_lane = cols[(index, ctrl_idx)]
                 res = _screened_wake(ctrl, local, hit, horizon, pd_all_lane)
@@ -581,15 +451,15 @@ class BatchSystem:
                     ok = False
                     break
                 w, idle_shape = res
-                if not idle_shape:
-                    all_idle = False
-                    # Busy-bus shape with pending work: run_until only
-                    # stops here if the bus outlasts the horizon.
-                    if (
-                        ctrl.read_q._count or ctrl.write_q._count
-                    ) and w < limit:
-                        ok = False
-                        break
+                # Busy-bus shape with pending work: run_until only stops
+                # here if the bus outlasts the horizon.
+                if (
+                    not idle_shape
+                    and (ctrl.read_q._count or ctrl.write_q._count)
+                    and w < limit
+                ):
+                    ok = False
+                    break
                 new_wakes[ctrl_idx] = w
             if not ok:
                 scalar.append(index)
@@ -603,11 +473,7 @@ class BatchSystem:
             for ctrl_idx, w in new_wakes.items():
                 wake[ctrl_idx] = w
                 heappush(lheap, (w, ctrl_idx))
-            group, slot = self._lane_slot[index]
-            if all_idle:
-                for ctrl_idx in new_wakes:
-                    idle_pairs.setdefault((group, ctrl_idx), []).append(slot)
-            screened.append((index, group))
+            screened.append(index)
             # Phase-6 fold: min over live controller wakes and the
             # external horizon (core_min; completions are folded into
             # limit only when earlier, but the true completion horizon
@@ -620,12 +486,9 @@ class BatchSystem:
         if not screened:
             return scalar
 
-        for (group, ctrl_idx), slots in idle_pairs.items():
-            decay_timers(self.slabs[group][ctrl_idx], slots, cycle)
-
         backend = self.slabs[0][0].backend if self.slabs else "list"
         nxts = next_wake_min(wake_rows, backend)
-        for (index, _), nxt in zip(screened, nxts):
+        for index, nxt in zip(screened, nxts):
             lane = lanes[index]
             lane.cycle = nxt if nxt > cycle else cycle + 1
             heappush(heap, (lane.cycle, index))

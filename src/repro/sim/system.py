@@ -376,7 +376,10 @@ class System:
         the earliest of {controller wake, read completion, core action}.
         A controller is stepped only when its wake cycle arrives or a
         new request dirties it, so the per-cycle Python overhead is paid
-        only on cycles where something can actually change.
+        only on cycles where something can actually change.  The loop
+        state and the per-pass step live in :class:`_Lane`; a serial
+        run is a batch of one lane (:mod:`repro.sim.batch` interleaves
+        many on a shared heap).
 
         ``strict_polling=True`` selects the reference scan-everything
         loop (:meth:`_run_polling`), kept as a debug oracle: both paths
@@ -385,128 +388,10 @@ class System:
         """
         if strict_polling:
             return self._run_polling(max_cycles)
-        cycle = 0
-        cores = self.cores
-        controllers = self.controllers
-        demand_map = self._demand_map
-        #: Authoritative next-wake cycle per controller; heap entries
-        #: that disagree with it are stale and skipped on pop.
-        wake = [0] * len(controllers)
-        heap = [(0, idx) for idx in range(len(controllers))]
-        heapify(heap)
-        #: Lower bound on each core's next action cycle.  A core's
-        #: timing only changes through ``try_advance`` (below) and
-        #: ``on_fill_complete`` (which resets the bound), so the cached
-        #: value stays valid between those points and saves two
-        #: ``next_action_cycle`` calls per core per iteration.
-        core_next = [0] * len(cores)
-        sampler = self.sampler
-        while True:
-            if sampler is not None:
-                sampler.maybe_sample(cycle, self)
-            # 1. Deliver completed demand fills due by now.  Bursts
-            # serialize on each channel's data bus, so completed_reads
-            # is already sorted by done_cycle: pop a due prefix instead
-            # of rebuilding the list while fills are in flight.
-            next_completion = NEVER
-            for ctrl in controllers:
-                cr = ctrl.completed_reads
-                if not cr:
-                    continue
-                if cr[0][0] <= cycle:
-                    i = 0
-                    n = len(cr)
-                    while i < n and cr[i][0] <= cycle:
-                        done_cycle, req = cr[i]
-                        core = demand_map.pop(req.req_id, None)
-                        if core is not None:
-                            core.on_fill_complete(req.req_id, done_cycle)
-                            core_next[core.core_id] = 0
-                        i += 1
-                    del cr[:i]
-                    if not cr:
-                        continue
-                if cr[0][0] < next_completion:
-                    next_completion = cr[0][0]
-
-            # 2. Advance cores (held back under heavy backpressure).
-            stalled = False
-            for ctrl in controllers:
-                if ctrl.overflow:
-                    total_overflow = sum(len(c.overflow) for c in controllers)
-                    stalled = total_overflow > OVERFLOW_STALL_THRESHOLD
-                    break
-            if not stalled:
-                for idx, core in enumerate(cores):
-                    if core_next[idx] > cycle:
-                        continue
-                    while True:
-                        event = core.try_advance(cycle)
-                        if event is None:
-                            break
-                        self._process_access(core, event, cycle)
-                    core_next[idx] = core.next_action_cycle(cycle)
-
-            # 3. External-event horizon for controller batching.
-            core_min = NEVER
-            for action in core_next:
-                if action < core_min:
-                    core_min = action
-            limit = next_completion if next_completion < core_min else core_min
-            if limit <= cycle:
-                limit = cycle + 1
-
-            # 4. Batch-run due (heap) and dirtied channels to the horizon.
-            dirty = self._dirty_channels
-            self._dirty_channels = 0
-            while heap and heap[0][0] <= cycle:
-                w, idx = heappop(heap)
-                if w != wake[idx]:
-                    continue  # stale entry superseded by a dirty re-run
-                dirty &= ~(1 << idx)
-                w = controllers[idx].run_until(cycle, limit)
-                wake[idx] = w
-                heappush(heap, (w, idx))
-            while dirty:
-                idx = (dirty & -dirty).bit_length() - 1
-                dirty &= dirty - 1
-                w = controllers[idx].run_until(cycle, limit)
-                wake[idx] = w
-                heappush(heap, (w, idx))
-
-            # 5. Termination check — same ``core.done`` predicate the
-            # polling oracle reads, so the two loops can never disagree
-            # about when a core is finished.
-            for core in cores:
-                if not core.done:
-                    break
-            else:
-                if not any(ctrl.pending for ctrl in controllers) and not any(
-                    ctrl.completed_reads for ctrl in controllers
-                ):
-                    break
-            if max_cycles is not None and cycle >= max_cycles:
-                break
-
-            # 6. Jump to the earliest future event.  core_next is still
-            # exact here (fills land only in step 1, issue only in
-            # step 2); completed_reads is sorted, so its head is the
-            # earliest completion.
-            while heap and heap[0][0] != wake[heap[0][1]]:
-                heappop(heap)  # shed stale entries so the top is live
-            nxt = heap[0][0] if heap else NEVER
-            if core_min < nxt:
-                nxt = core_min
-            for ctrl in controllers:
-                cr = ctrl.completed_reads
-                if cr and cr[0][0] < nxt:
-                    nxt = cr[0][0]
-            cycle = nxt if nxt > cycle else cycle + 1
-
-        end_cycle = max([cycle] + [ctrl.local_clock for ctrl in controllers])
-        if sampler is not None:
-            sampler.finalize(end_cycle, self)
-        return self._finalize(end_cycle)
+        lane = _Lane(0, self, max_cycles)
+        while lane.advance() is not None:
+            pass
+        return lane.finalize()
 
     # ------------------------------------------------------------------
     def _run_polling(self, max_cycles: Optional[int] = None) -> SimResult:
@@ -635,6 +520,181 @@ class System:
                 dbi.proactive_writebacks if dbi is not None else 0
             ),
         )
+
+
+class _Lane:
+    """One System's event-loop state and its single per-pass step.
+
+    :meth:`System.run` drives one lane until :meth:`advance` returns
+    ``None``; the batch kernel (:mod:`repro.sim.batch`) keys many lanes
+    on a shared heap and advances whichever is due.  Either way each
+    lane sees the same pass sequence, so a batched lane's result is its
+    serial result.
+    """
+
+    __slots__ = (
+        "index",
+        "system",
+        "max_cycles",
+        "cycle",
+        "wake",
+        "heap",
+        "core_next",
+    )
+
+    def __init__(
+        self, index: int, system: System, max_cycles: Optional[int] = None
+    ) -> None:
+        self.index = index
+        self.system = system
+        self.max_cycles = max_cycles
+        self.cycle = 0
+        controllers = system.controllers
+        #: Authoritative next-wake cycle per controller; heap entries
+        #: that disagree with it are stale and skipped on pop.
+        self.wake = [0] * len(controllers)
+        self.heap = [(0, idx) for idx in range(len(controllers))]
+        heapify(self.heap)
+        #: Lower bound on each core's next action cycle.  A core's
+        #: timing only changes through ``try_advance`` (phase 2) and
+        #: ``on_fill_complete`` (which resets the bound), so the cached
+        #: value stays valid between those points and saves two
+        #: ``next_action_cycle`` calls per core per pass.
+        self.core_next = [0] * len(system.cores)
+
+    # ------------------------------------------------------------------
+    def advance(self) -> Optional[int]:
+        """One pass of the event loop at ``self.cycle``.
+
+        Six phases: deliver completions, advance cores, compute the
+        external-event horizon, batch-run due/dirtied controllers,
+        check termination (then the ``max_cycles`` stop), pick the next
+        event cycle.  Returns the lane's next event cycle, or ``None``
+        when the lane finished (then call :meth:`finalize`).
+        """
+        system = self.system
+        cycle = self.cycle
+        cores = system.cores
+        controllers = system.controllers
+        demand_map = system._demand_map
+        wake = self.wake
+        heap = self.heap
+        core_next = self.core_next
+        sampler = system.sampler
+        if sampler is not None:
+            sampler.maybe_sample(cycle, system)
+
+        # 1. Deliver completed demand fills due by now.  Bursts
+        # serialize on each channel's data bus, so completed_reads is
+        # already sorted by done_cycle: pop a due prefix instead of
+        # rebuilding the list while fills are in flight.
+        next_completion = NEVER
+        for ctrl in controllers:
+            cr = ctrl.completed_reads
+            if not cr:
+                continue
+            if cr[0][0] <= cycle:
+                i = 0
+                n = len(cr)
+                while i < n and cr[i][0] <= cycle:
+                    done_cycle, req = cr[i]
+                    core = demand_map.pop(req.req_id, None)
+                    if core is not None:
+                        core.on_fill_complete(req.req_id, done_cycle)
+                        core_next[core.core_id] = 0
+                    i += 1
+                del cr[:i]
+                if not cr:
+                    continue
+            if cr[0][0] < next_completion:
+                next_completion = cr[0][0]
+
+        # 2. Advance cores (held back under heavy backpressure).
+        stalled = False
+        for ctrl in controllers:
+            if ctrl.overflow:
+                total_overflow = sum(len(c.overflow) for c in controllers)
+                stalled = total_overflow > OVERFLOW_STALL_THRESHOLD
+                break
+        if not stalled:
+            for idx, core in enumerate(cores):
+                if core_next[idx] > cycle:
+                    continue
+                while True:
+                    event = core.try_advance(cycle)
+                    if event is None:
+                        break
+                    system._process_access(core, event, cycle)
+                core_next[idx] = core.next_action_cycle(cycle)
+
+        # 3. External-event horizon for controller batching.
+        core_min = NEVER
+        for action in core_next:
+            if action < core_min:
+                core_min = action
+        limit = next_completion if next_completion < core_min else core_min
+        if limit <= cycle:
+            limit = cycle + 1
+
+        # 4. Batch-run due (heap) and dirtied channels to the horizon.
+        dirty = system._dirty_channels
+        system._dirty_channels = 0
+        while heap and heap[0][0] <= cycle:
+            w, idx = heappop(heap)
+            if w != wake[idx]:
+                continue  # stale entry superseded by a dirty re-run
+            dirty &= ~(1 << idx)
+            w = controllers[idx].run_until(cycle, limit)
+            wake[idx] = w
+            heappush(heap, (w, idx))
+        while dirty:
+            idx = (dirty & -dirty).bit_length() - 1
+            dirty &= dirty - 1
+            w = controllers[idx].run_until(cycle, limit)
+            wake[idx] = w
+            heappush(heap, (w, idx))
+
+        # 5. Termination check — same ``core.done`` predicate the
+        # polling oracle reads, so the two loops can never disagree
+        # about when a core is finished.
+        for core in cores:
+            if not core.done:
+                break
+        else:
+            if not any(ctrl.pending for ctrl in controllers) and not any(
+                ctrl.completed_reads for ctrl in controllers
+            ):
+                return None
+        max_cycles = self.max_cycles
+        if max_cycles is not None and cycle >= max_cycles:
+            return None
+
+        # 6. Jump to the earliest future event.  core_next is still
+        # exact here (fills land only in phase 1, issue only in
+        # phase 2); completed_reads is sorted, so its head is the
+        # earliest completion.
+        while heap and heap[0][0] != wake[heap[0][1]]:
+            heappop(heap)  # shed stale entries so the top is live
+        nxt = heap[0][0] if heap else NEVER
+        if core_min < nxt:
+            nxt = core_min
+        for ctrl in controllers:
+            cr = ctrl.completed_reads
+            if cr and cr[0][0] < nxt:
+                nxt = cr[0][0]
+        self.cycle = nxt if nxt > cycle else cycle + 1
+        return self.cycle
+
+    def finalize(self) -> SimResult:
+        """Close the sampler, flush background state and summarize."""
+        system = self.system
+        end_cycle = self.cycle
+        for ctrl in system.controllers:
+            if ctrl.local_clock > end_cycle:
+                end_cycle = ctrl.local_clock
+        if system.sampler is not None:
+            system.sampler.finalize(end_cycle, system)
+        return system._finalize(end_cycle)
 
 
 def simulate(

@@ -15,10 +15,11 @@ PR 7 adds cohort stepping (same-cycle lanes screened column-wise):
 the suite pins the cohort loop bit-identical to the PR-6
 one-lane-per-pop interleaving (``run(_cohort=False)``) on random lane
 cohorts across both backends, and covers the cohort kernel ops
-(``decay_timers`` / ``open_row_hits`` / ``mask_compatible`` /
-``refresh_due`` / ``next_wake_min`` / ``power_down_resident``)
-including slab-row aliasing of the new ``pd`` / ``next_refresh``
-columns, plus ``batch="auto"`` lane sizing.
+(``open_row_hits`` / ``refresh_due`` / ``next_wake_min`` /
+``power_down_resident``) including slab-row aliasing of the ``pd`` /
+``next_refresh`` columns, plus ``batch="auto"`` lane sizing.  The
+``TimingCore`` slots are pinned to the shared ``TIMING_FIELDS`` schema
+the slab allocates from.
 """
 
 import pytest
@@ -27,14 +28,12 @@ from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.schemes import by_name
-from repro.dram.geometry import FULL_MASK
+from repro.dram.soa import TIMING_FIELDS, TimingCore
 from repro.dram.soa_batch import (
     BACKENDS,
     BatchTimingCore,
     HAVE_NUMPY,
-    decay_timers,
     default_backend,
-    mask_compatible,
     next_wake_min,
     open_row_hits,
     power_down_resident,
@@ -212,28 +211,34 @@ class TestSlab:
     def test_backends_allocate_identical_state(self, backend):
         slab = BatchTimingCore(3, 2, 8, backend=backend)
         reference = BatchTimingCore(3, 2, 8, backend="list")
-        for field in BatchTimingCore.__slots__:
-            if field in ("backend",):
-                continue
-            assert getattr(slab, field) == getattr(reference, field), field
+        assert list(slab.columns) == [name for name, _, _ in TIMING_FIELDS]
+        for name, rows in slab.columns.items():
+            assert rows == reference.columns[name], name
+            assert [type(v) for v in rows[0]] == [
+                type(v) for v in reference.columns[name][0]
+            ], name
+
+    def test_timing_core_slots_match_schema(self):
+        # TimingCore spells the schema out by hand (mypyc needs typed
+        # attributes); its slots, widths and fills must match it.
+        names = [name for name, _, _ in TIMING_FIELDS]
+        assert TimingCore.__slots__ == ("num_ranks", "num_banks", *names)
+        core = TimingCore(2, 8)
+        for name, fill, extent in TIMING_FIELDS:
+            width = 16 if extent == "bank" else 2
+            values = getattr(core, name)
+            assert values == [fill] * width, name
+            assert {type(v) for v in values} == {type(fill)}, name
 
     def test_lane_views_alias_slab_rows(self):
         slab = BatchTimingCore(2, 2, 8, backend="list")
         lane0 = slab.lane(0)
         lane1 = slab.lane(1)
+        for name, rows in slab.columns.items():
+            assert getattr(lane1, name) is rows[1], name
         lane0.open_row[3] = 77
-        assert slab.open_row[0][3] == 77
+        assert slab.columns["open_row"][0][3] == 77
         assert lane1.open_row[3] == -1  # other lanes unaffected
-        assert slab.open_banks_per_lane() == [1, 0]
-
-    def test_reset_lane_preserves_row_identity(self):
-        slab = BatchTimingCore(2, 2, 8, backend="list")
-        lane = slab.lane(0)
-        lane.open_row[0] = 5
-        lane.gate[1] = 9
-        slab.reset_lane(0)
-        assert lane.open_row[0] == -1  # view saw the reset in place
-        assert lane.gate[1] == 0
 
     def test_geometry_and_lane_validation(self):
         with pytest.raises(ValueError, match="at least one lane"):
@@ -315,52 +320,11 @@ class TestCohortKernelOps:
         assert power_down_resident(slab, [3]) == [True]
 
     @both_backends
-    def test_mask_compatible(self, backend):
-        slab = self._slab(backend)
-        lane0, lane2 = slab.lane(0), slab.lane(2)
-        lane0.open_mask[5] = 0b0011  # rank 1, bank 1 (g = 1*4 + 1)
-        lane2.open_mask[5] = 0b0110
-        # Fresh lanes hold FULL_MASK: everything is covered.
-        assert mask_compatible(slab, [0, 2, 1], 5, 0b0010) == [
-            True, True, True,
-        ]
-        assert mask_compatible(slab, [0, 2], 5, 0b0101) == [False, False]
-        assert mask_compatible(slab, [1], 5, FULL_MASK) == [True]
-
-    @both_backends
-    def test_decay_timers_clamps_in_place(self, backend):
-        slab = BatchTimingCore(3, 2, 4, backend=backend)
-        lane0, lane2 = slab.lane(0), slab.lane(2)
-        lane0.next_act_ok[:] = [10, 900]  # one stale, one live
-        lane0.gate[:] = [0, 55]
-        lane2.next_write_ok[:] = [99, 100]
-        decay_timers(slab, [0, 2], 100)
-        # Stale timers clamped to the cycle, live ones untouched — and
-        # the pre-existing lane views observe it (row identity kept).
-        assert lane0.next_act_ok == [100, 900]
-        assert lane0.gate == [100, 100]
-        assert lane2.next_write_ok == [100, 100]
-        assert slab.lane(2).next_col_ok == [100, 100]
-        # Lane 1 was not in the cohort: untouched.
-        assert slab.lane(1).next_act_ok == [0, 0]
-        # Non-timer columns are never decayed.
-        assert lane0.next_refresh == [0, 0]
-        assert lane0.last_act == [-1] * 8
-
-    @both_backends
     def test_next_wake_min(self, backend):
         assert next_wake_min([[7, 3, 9], [4, 4, 4]], backend) == [3, 4]
         # Ragged rows (lanes with different candidate counts) must fall
         # back cleanly on the numpy backend.
         assert next_wake_min([[5], [2, 8], [6, 1, 7]], backend) == [5, 2, 1]
-
-    def test_reset_lane_clears_new_columns_in_place(self):
-        slab = self._slab("list")
-        lane1 = slab.lane(1)
-        slab.reset_lane(1)
-        assert lane1.pd == [0, 0]  # view saw the reset in place
-        assert lane1.next_refresh == [0, 0]
-        assert power_down_resident(slab, [1]) == [False]
 
     @needs_numpy
     def test_backends_agree(self):
@@ -369,13 +333,6 @@ class TestCohortKernelOps:
         assert open_row_hits(a, slots) == open_row_hits(b, slots)
         assert refresh_due(a, slots) == refresh_due(b, slots)
         assert power_down_resident(a, slots) == power_down_resident(b, slots)
-        assert mask_compatible(a, slots, 2, 0b11) == mask_compatible(
-            b, slots, 2, 0b11
-        )
-        decay_timers(a, slots, 50)
-        decay_timers(b, slots, 50)
-        for field in ("next_act_ok", "next_col_ok", "gate"):
-            assert getattr(a, field) == getattr(b, field), field
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Unit tests for the reprolint v2 dataflow passes.
 
-Covers the three passes directly (twins, cowcheck, constraints) on
-synthetic inputs and tmp-clone repos, the ``repro lint`` CLI wrapper,
-and the tier-1 wall-clock budget for the full analysis suite.  The
-fixture round-trips (each rule fires on its committed broken module)
+Covers the two passes directly (cowcheck, constraints) on synthetic
+inputs and tmp-clone repos, the ``repro lint`` CLI wrapper, the
+timing slab's slot coverage of ``TimingCore``, and the tier-1
+wall-clock budget for the full analysis suite.  The fixture round-trips (each rule fires on its committed broken module)
 live in ``tests/test_reprolint.py``; these tests pin the *semantics*
 each pass must get right.
 """
@@ -11,210 +11,51 @@ each pass must get right.
 import ast
 import json
 import os
-import shutil
 import time
 
-import pytest
-
-from repro.analysis import constraints, cowcheck, twins
+from repro.analysis import constraints, cowcheck
 from repro.analysis.lint import lint_paths
 from repro.analysis.rules import check_file
 from repro.cli import main as cli_main
+from repro.dram.soa import TimingCore
+from repro.dram.soa_batch import BatchTimingCore
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO_ROOT, "tests", "lint_fixtures")
 
 
 # ----------------------------------------------------------------------
-# Twins: qualname resolution and in-file pairs.
+# Slot coverage: every TimingCore state slot has a slab column, and
+# lane() rebinds it onto that column's row.
 # ----------------------------------------------------------------------
-def test_find_qualname_resolves_methods_and_constants():
-    tree = ast.parse(
-        "CONST = (1, 2)\n"
-        "class C:\n"
-        "    __slots__ = ('a', 'b')\n"
-        "    def method(self):\n"
-        "        pass\n"
-    )
-    assert isinstance(twins._find_qualname(tree, "CONST"), ast.Assign)
-    assert isinstance(twins._find_qualname(tree, "C.method"), ast.FunctionDef)
-    assert isinstance(twins._find_qualname(tree, "C.__slots__"), ast.Assign)
-    assert twins._find_qualname(tree, "C.missing") is None
-    assert twins._find_qualname(tree, "nope") is None
+def _slot_coverage(slab):
+    """``(missing, unwired)`` TimingCore state slots for ``slab``.
+
+    ``missing`` have no column in ``slab.columns``; ``unwired`` are left
+    by ``lane()`` on a private list instead of the slab row, which would
+    silently unshare that field.
+    """
+    state = [n for n in TimingCore.__slots__
+             if n not in ("num_ranks", "num_banks")]
+    missing = [n for n in state if n not in slab.columns]
+    core = slab.lane(0)
+    unwired = [n for n in state if n in missing
+               or getattr(core, n) is not slab.columns[n][0]]
+    return missing, unwired
 
 
-def test_in_file_pair_identical_up_to_name_and_docstring():
-    tree = ast.parse(
-        'REPRO_TWIN_PAIRS = (("p", "a", "b"),)\n'
-        "def a(x):\n"
-        '    """doc a"""\n'
-        "    return x + 1\n"
-        "def b(x):\n"
-        '    """doc b, different"""\n'
-        "    return x + 1\n"
-    )
-    assert twins.check_in_file(tree, "m.py") == []
+def test_slot_coverage_clean_when_slab_covers_scalar():
+    for backend in (None, "list"):
+        slab = BatchTimingCore(2, 2, 8, backend=backend)
+        assert _slot_coverage(slab) == ([], [])
 
 
-def test_in_file_pair_drift_and_missing_side():
-    drifted = ast.parse(
-        'REPRO_TWIN_PAIRS = (("p", "a", "b"),)\n'
-        "def a(x):\n"
-        "    return x + 1\n"
-        "def b(x):\n"
-        "    return x + 2\n"
-    )
-    findings = twins.check_in_file(drifted, "m.py")
-    assert len(findings) == 1
-    assert "no longer structurally identical" in findings[0][2]
-
-    missing = ast.parse(
-        'REPRO_TWIN_PAIRS = (("p", "a", "gone"),)\n'
-        "def a(x):\n"
-        "    return x\n"
-    )
-    findings = twins.check_in_file(missing, "m.py")
-    assert len(findings) == 1
-    assert "'gone'" in findings[0][2]
-
-
-# ----------------------------------------------------------------------
-# Twins: fingerprint drift in a tmp clone of the twin sources.
-# ----------------------------------------------------------------------
-_SIM_FILES = ("src/repro/sim/system.py", "src/repro/sim/batch.py")
-_SYSTEM = "src/repro/sim/system.py"
-
-
-def _clone(tmp_path, with_fingerprints=True):
-    """Copy the scalar-loop pair sources (and the committed
-    fingerprints) into a bare tmp repo root."""
-    rels = list(_SIM_FILES)
-    if with_fingerprints:
-        rels.append(twins.FINGERPRINT_FILE)
-    for rel in rels:
-        dst = tmp_path / rel
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(os.path.join(REPO_ROOT, *rel.split("/")), dst)
-    return str(tmp_path)
-
-
-def _mutate_system_run(root):
-    """Append a statement to ``System.run`` in the clone (structural
-    drift, comment-free rewrite via unparse round-trip)."""
-    path = os.path.join(root, *_SYSTEM.split("/"))
-    with open(path, "r", encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    fn = twins._find_qualname(tree, "System.run")
-    assert isinstance(fn, ast.FunctionDef)
-    fn.body.append(ast.parse("_drift_probe = 0").body[0])
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(ast.unparse(ast.fix_missing_locations(tree)) + "\n")
-
-
-def test_clean_clone_matches_committed_fingerprints(tmp_path):
-    root = _clone(tmp_path)
-    assert twins.check_fingerprints(root, {_SYSTEM}) == []
-
-
-def test_one_sided_drift_names_the_untouched_twin(tmp_path):
-    root = _clone(tmp_path)
-    _mutate_system_run(root)
-    findings = twins.check_fingerprints(root, {_SYSTEM})
-    assert len(findings) == 1
-    path, line, message = findings[0]
-    assert path == _SYSTEM
-    assert line > 1
-    assert "scalar-loop" in message
-    assert "did NOT change" in message
-    assert twins.REGEN_ENV in message  # regeneration instructions
-
-
-def test_regeneration_clears_drift(tmp_path):
-    root = _clone(tmp_path)
-    _mutate_system_run(root)
-    twins.write_fingerprints(root, "test re-pin")
-    assert twins.check_fingerprints(root, {_SYSTEM}) == []
-
-
-def test_linted_paths_scope_pairs(tmp_path):
-    # Drift exists, but no linted file is a side of any pair: silent.
-    root = _clone(tmp_path)
-    _mutate_system_run(root)
-    assert twins.check_fingerprints(root, {"src/unrelated.py"}) == []
-
-
-def test_missing_fingerprint_file_is_a_finding(tmp_path):
-    root = _clone(tmp_path, with_fingerprints=False)
-    findings = twins.check_fingerprints(root, {_SYSTEM})
-    assert findings
-    assert all("no committed fingerprint" in msg for _, _, msg in findings)
-
-
-def test_write_refuses_without_regen_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv(twins.REGEN_ENV, raising=False)
-    root = _clone(tmp_path, with_fingerprints=False)
-    assert twins.main(["--write", "--repo-root", root]) == 2
-    assert not os.path.exists(twins.fingerprint_path(root))
-    assert twins.REGEN_ENV in capsys.readouterr().err
-
-
-def test_write_succeeds_with_regen_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(twins.REGEN_ENV, "1")
-    root = _clone(tmp_path, with_fingerprints=False)
-    assert twins.main(["--write", "--repo-root", root, "--note", "t"]) == 0
-    stored = twins.load_fingerprints(root)
-    assert stored is not None and stored["format"] == twins.FORMAT
-
-
-# ----------------------------------------------------------------------
-# Twins: semantic slot coverage for the timing-slots pair.
-# ----------------------------------------------------------------------
-def _slot_repo(tmp_path, scalar_slots, batch_slots, lane_rebinds):
-    """Synthetic soa/soa_batch modules for check_slot_coverage."""
-    soa = tmp_path / "src" / "repro" / "dram" / "soa.py"
-    soa.parent.mkdir(parents=True, exist_ok=True)
-    soa.write_text(
-        "class TimingCore:\n"
-        f"    __slots__ = {tuple(scalar_slots)!r}\n"
-    )
-    lane_body = "".join(
-        f"        core.{name} = self.{name}[i]\n" for name in lane_rebinds
-    ) or "        pass\n"
-    (soa.parent / "soa_batch.py").write_text(
-        "class BatchTimingCore:\n"
-        f"    __slots__ = {tuple(batch_slots)!r}\n"
-        "    def lane(self, i, core):\n"
-        f"{lane_body}"
-        "        return core\n"
-    )
-    return str(tmp_path)
-
-
-def test_slot_coverage_clean_when_slab_covers_scalar(tmp_path):
-    root = _slot_repo(
-        tmp_path,
-        scalar_slots=("num_ranks", "num_banks", "act_ready", "faw"),
-        batch_slots=("num_lanes", "num_ranks", "num_banks", "act_ready",
-                     "faw"),
-        lane_rebinds=("act_ready", "faw"),
-    )
-    assert twins.check_slot_coverage(root) == []
-
-
-def test_slot_coverage_flags_missing_and_unwired_slots(tmp_path):
-    # 'faw' exists on the scalar core but has no slab column and is
-    # never rebound by lane(): both semantic checks must fire.
-    root = _slot_repo(
-        tmp_path,
-        scalar_slots=("num_ranks", "num_banks", "act_ready", "faw"),
-        batch_slots=("num_lanes", "num_ranks", "num_banks", "act_ready"),
-        lane_rebinds=("act_ready",),
-    )
-    messages = [msg for _, _, msg in twins.check_slot_coverage(root)]
-    assert len(messages) == 2
-    assert any("missing scalar TimingCore slots ['faw']" in m
-               for m in messages)
-    assert any("never rebinds scalar slots ['faw']" in m for m in messages)
+def test_slot_coverage_flags_missing_and_unwired_slots():
+    # 'pd' exists on the scalar core but its column is gone, so lane()
+    # never rebinds it: both checks must fire.
+    slab = BatchTimingCore(2, 2, 8, backend="list")
+    del slab.columns["pd"]
+    assert _slot_coverage(slab) == (["pd"], ["pd"])
 
 
 # ----------------------------------------------------------------------
@@ -501,8 +342,7 @@ def test_cli_lint_rejects_unknown_rule(monkeypatch, capsys):
 
 # ----------------------------------------------------------------------
 # Tier-1 budget: the full analysis suite must stay cheap enough to run
-# on every commit (v1 rules + all three dataflow passes + the repo-wide
-# fingerprint check over src/ and tests/).
+# on every commit (v1 rules + both dataflow passes over src/ and tests/).
 # ----------------------------------------------------------------------
 def test_full_analysis_suite_clean_and_under_budget():
     start = time.monotonic()  # reprolint: allow[determinism-wallclock]

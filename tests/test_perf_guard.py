@@ -6,9 +6,11 @@ tests drive it on synthetic snapshots/histories in tmp_path: the
 environment-fingerprint matching (a compiled-engine run must never be
 graded against an interpreted baseline), the skip of the record the
 current session itself appended, the 25% threshold, and the vacuous
-pass when no baseline exists.
+pass when no baseline exists.  The last test checks that every entry
+point ``perfbench/tracing.py`` patches still resolves.
 """
 
+import importlib
 import importlib.util
 import json
 import os
@@ -188,3 +190,28 @@ def test_corrupt_history_lines_are_skipped(tmp_path):
     assert guard.main(
         ["--snapshot", str(snap), "--history", str(hist)]
     ) == 0
+
+
+# ----------------------------------------------------------------------
+# perfbench tracing targets: a src/ refactor that drops or moves a
+# traced entry point must fail here, not crash ``run.py --trace 1``.
+# ----------------------------------------------------------------------
+TRACING_PATH = os.path.join(REPO_ROOT, "perfbench", "tracing.py")
+
+_tracing_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", TRACING_PATH
+)
+tracing = importlib.util.module_from_spec(_tracing_spec)
+_tracing_spec.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize(
+    "module_name,path",
+    [(module_name, path) for module_name, path, _, _ in tracing.TARGETS],
+)
+def test_tracing_target_resolves(module_name, path):
+    owner = importlib.import_module(module_name)
+    for part in path.split("."):
+        assert hasattr(owner, part), f"{module_name}.{path}: no {part!r}"
+        owner = getattr(owner, part)
+    assert callable(owner), f"{module_name}.{path} is not callable"

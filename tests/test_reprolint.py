@@ -34,7 +34,6 @@ FIXTURES = {
     "hygiene-try-in-loop": "try_in_loop.py",
     "hygiene-mutable-default": "mutable_default.py",
     "compiled-incompatible": "compiled_incompatible.py",
-    "twin-drift": "twin_drift.py",
     "cow-unsafe-mutation": "cow_unsafe_mutation.py",
     "timing-unchecked-issue": "timing_unchecked_issue.py",
 }

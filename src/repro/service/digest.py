@@ -19,6 +19,17 @@ properties come from canonicalization:
   changing its behavior keeps the digest stable, while changing its
   access pattern invalidates it.
 
+Resolving a point (config, workload lookup, fingerprint, two SHA-256s)
+costs tens of microseconds, and an all-cached job repeats it for every
+point the service has already seen.  :func:`resolve_point` memoizes it
+for the life of the process, keyed by the spec invariants plus the
+point's canonical JSON text (never by its items: ``True``, ``1`` and
+``1.0`` compare and hash alike but serialize, and so digest,
+differently).  The memo is sound because the scheme and workload
+registries it reads are module constants; it is bounded by
+:data:`RESOLVE_CACHE_SIZE`, and a point that fails to resolve raises
+on every call (``lru_cache`` never stores an exception).
+
 Digests use SHA-256 hex, never Python's builtin ``hash()`` (which is
 salted per process) and never wallclock — the digest of a point is
 the same on every host, in every process, on every day.
@@ -26,11 +37,12 @@ the same on every host, in every process, on every day.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.sim.config import CacheConfig, SystemConfig
 from repro.sim.snapshot import fingerprint_digest, resolve_fingerprint
@@ -42,10 +54,21 @@ from repro.workloads.mixes import workload as lookup_workload
 SPEC_FORMAT = "sweep-spec-v1"
 POINT_FORMAT = "sweep-point-v1"
 
+#: Point resolutions memoized per process (LRU); far above the size of
+#: any one grid, small enough that the memo stays a few megabytes.
+RESOLVE_CACHE_SIZE = 4096
+
+#: Axes whose values name a registry entry and must be strings.
+_NAME_AXES = ("scheme", "workload", "policy")
+
+#: One shared encoder: ``json.dumps`` with these options builds an
+#: identical encoder on every call, about a third of each call's cost.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 def canonical_json(payload: Any) -> str:
     """Canonical JSON text: sorted keys, compact, ASCII-safe."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(payload)
 
 
 def _sha256(text: str) -> str:
@@ -58,6 +81,22 @@ def _positive_int(value: Any, name: str) -> int:
     if value < 1:
         raise ValueError(f"{name} must be positive")
     return value
+
+
+def _check_axis_value(name: str, value: Any) -> None:
+    """Reject non-string names and non-scalar ECC counts up front, so
+    resolution (and its memo) only ever sees JSON scalars."""
+    if name in _NAME_AXES:
+        if not isinstance(value, str):
+            raise ValueError(f"axis {name!r} values must be strings, got {value!r}")
+    elif not isinstance(value, (str, int, float)):  # bool is an int
+        raise ValueError(f"axis {name!r} values must be scalars, got {value!r}")
+
+
+def _base_config(llc_bytes: Optional[int]) -> SystemConfig:
+    if llc_bytes is None:
+        return SystemConfig()
+    return SystemConfig(cache=CacheConfig(llc_bytes=llc_bytes))
 
 
 @dataclass(frozen=True)
@@ -115,6 +154,8 @@ class SweepSpec:
             values = raw_axes[name]
             if not isinstance(values, (list, tuple)) or not values:
                 raise ValueError(f"axis {name!r} needs a non-empty list")
+            for value in values:
+                _check_axis_value(name, value)
             if len(set(map(repr, values))) != len(values):
                 raise ValueError(f"axis {name!r} has duplicate values")
             axes.append((name, tuple(values)))
@@ -136,13 +177,9 @@ class SweepSpec:
         return spec
 
     def validate_axis_values(self) -> None:
-        """Resolve every axis value eagerly so bad specs fail at submit."""
+        """Resolve every point eagerly so bad specs fail at submit."""
         for point in self.points():
-            try:
-                _apply_point(self.base_config(), point)
-                lookup_workload(point["workload"])
-            except (KeyError, ValueError) as exc:
-                raise ValueError(f"invalid grid point {point}: {exc}") from exc
+            self.resolve(point)
 
     # ------------------------------------------------------------------
     def canonical(self) -> Dict[str, Any]:
@@ -163,9 +200,7 @@ class SweepSpec:
 
     # ------------------------------------------------------------------
     def base_config(self) -> SystemConfig:
-        if self.llc_bytes is None:
-            return SystemConfig()
-        return SystemConfig(cache=CacheConfig(llc_bytes=self.llc_bytes))
+        return _base_config(self.llc_bytes)
 
     def context(self, snapshot_dir: Optional[str] = None) -> SweepContext:
         """The grid-wide invariants, as the sweep/pool layers expect."""
@@ -185,24 +220,23 @@ class SweepSpec:
             dict(zip(names, combo)) for combo in itertools.product(*value_lists)
         ]
 
+    def resolve(self, point: Mapping[str, Any]) -> Resolution:
+        """The point's memoized :class:`Resolution` under this spec."""
+        return resolve_point(
+            self.events_per_core,
+            self.seed,
+            self.warmup_events_per_core,
+            self.llc_bytes,
+            canonical_json(point),
+        )
+
     def group_key(self, point: Dict[str, Any]) -> tuple:
         """Warm fingerprint of one point (pool-affinity grouping)."""
-        config = _apply_point(self.base_config(), point)
-        workload = lookup_workload(point["workload"])
-        return resolve_fingerprint(
-            config, workload, self.seed, self.warmup_events_per_core
-        )
+        return self.resolve(point).fingerprint
 
     def point_digest(self, point: Dict[str, Any]) -> str:
         """Content digest of one grid point under this spec."""
-        return point_digest(
-            events_per_core=self.events_per_core,
-            seed=self.seed,
-            warmup_events_per_core=self.warmup_events_per_core,
-            llc_bytes=self.llc_bytes,
-            point=point,
-            fingerprint=self.group_key(point),
-        )
+        return self.resolve(point).digest
 
 
 def point_digest(
@@ -230,6 +264,39 @@ def point_digest(
         "warm_fingerprint": fingerprint_digest(fingerprint),
     }
     return _sha256(canonical_json(payload))
+
+
+class Resolution(NamedTuple):
+    """Everything the service derives from one grid point's identity."""
+
+    fingerprint: tuple  # warm fingerprint key (pool-affinity group)
+    fingerprint_digest: str  # its stable digest (scheduler placement)
+    digest: str  # the point digest (store key)
+
+
+@functools.lru_cache(maxsize=RESOLVE_CACHE_SIZE)
+def resolve_point(
+    events_per_core: int,
+    seed: int,
+    warmup_events_per_core: Optional[int],
+    llc_bytes: Optional[int],
+    point_json: str,
+) -> Resolution:
+    """Resolve one point, given as canonical JSON, under a spec's
+    invariants; raises ``ValueError`` for a point that cannot run."""
+    point = json.loads(point_json)
+    try:
+        config = _apply_point(_base_config(llc_bytes), point)
+        workload = lookup_workload(point["workload"])
+    except (KeyError, ValueError, OverflowError) as exc:
+        raise ValueError(f"invalid grid point {point}: {exc}") from exc
+    fingerprint = resolve_fingerprint(
+        config, workload, seed, warmup_events_per_core
+    )
+    digest = point_digest(
+        events_per_core, seed, warmup_events_per_core, llc_bytes, point, fingerprint
+    )
+    return Resolution(fingerprint, fingerprint_digest(fingerprint), digest)
 
 
 def spec_job_id(payload: Mapping[str, Any]) -> str:

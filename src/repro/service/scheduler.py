@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.sim.pool import SimPool
-from repro.sim.snapshot import fingerprint_digest
 from repro.sim.sweep import _run_point
 from repro.service.digest import SweepSpec
 
@@ -141,8 +140,8 @@ class PoolScheduler:
         """Compute one grid point on its affinity pool; returns the row."""
         if not self._started:
             raise RuntimeError("scheduler not started")
-        fp_key = spec.group_key(point)
-        idx = self._place(fingerprint_digest(fp_key))
+        fp_key, fp_digest, _digest = spec.resolve(point)
+        idx = self._place(fp_digest)
         self.assigned[idx] += 1
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Dict[str, Any]]" = loop.create_future()

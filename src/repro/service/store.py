@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from typing import Any, Dict, List, Optional
 
 _SUFFIX = ".json"
+#: ``fullmatch``, not ``match`` with ``$``: ``$`` accepts a trailing newline.
+_DIGEST = re.compile(r"[0-9a-f]{64}")
 
 
 def _is_digest(digest: str) -> bool:
-    return (
-        len(digest) == 64
-        and all(c in "0123456789abcdef" for c in digest)
-    )
+    return _DIGEST.fullmatch(digest) is not None
 
 
 class ResultStore:

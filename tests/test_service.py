@@ -19,13 +19,21 @@ import threading
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.digest import SweepSpec, canonical_json, spec_job_id
+from repro.service.digest import (
+    SweepSpec,
+    canonical_json,
+    point_digest,
+    resolve_point,
+    spec_job_id,
+)
 from repro.service.jobs import JobManager
 from repro.service.journal import Journal
 from repro.service.scheduler import PoolScheduler
 from repro.service.server import ServiceServer
 from repro.service.store import ResultStore
-from repro.sim.sweep import Sweep
+from repro.sim.snapshot import fingerprint_digest, resolve_fingerprint
+from repro.sim.sweep import Sweep, _apply_point
+from repro.workloads.mixes import workload as lookup_workload
 
 #: Small four-point grid (2 schemes x 2 workloads) used end-to-end.
 EVENTS = 80
@@ -100,6 +108,14 @@ class TestDigests:
             {"axes": {"workload": ["GUPS"], "scheme": ["NotAScheme"]}},
             {"axes": {"workload": ["GUPS"]}, "events_per_core": 0},
             {"axes": {"workload": ["GUPS"]}, "frobnicate": 1},
+            # Malformed axis values: ValueError (a 400), not another
+            # exception (a 500).
+            {"axes": {"workload": [1]}},
+            {"axes": {"workload": [["GUPS"]]}},
+            {"axes": {"workload": ["GUPS"], "scheme": [{"a": 1}]}},
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [[1]]}},
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [None]}},
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [float("inf")]}},
         ],
     )
     def test_invalid_specs_fail_at_submit(self, payload):
@@ -111,6 +127,116 @@ class TestDigests:
         points = spec.points()
         assert points[0] == {"scheme": "Baseline", "workload": "GUPS"}
         assert points[-1] == {"scheme": "PRA", "workload": "mcf"}
+
+
+# ----------------------------------------------------------------------
+# Point memo: memoized resolution equals resolution from scratch.
+# ----------------------------------------------------------------------
+#: The benchmark's screen grid plus policy and ECC axes; ``1``, ``True``
+#: and ``1.0`` compare equal but serialize (and so digest) differently.
+MEMO_SPEC = {
+    "events_per_core": 300,
+    "warmup_events_per_core": 2000,
+    "llc_bytes": 512 * 1024,
+    "seed": 1,
+    "axes": {
+        "scheme": ["Baseline", "PRA", "SDS", "Half-DRAM", "DBI+PRA"],
+        "workload": ["GUPS", "MIX1", "MIX2", "libquantum"],
+        "policy": ["relaxed", "open"],
+        "ecc_chips": [0, 1, True, 1.0],
+    },
+}
+
+
+def scratch_digest(spec, point):
+    """A point digest computed without the memo."""
+    config = _apply_point(spec.base_config(), point)
+    fingerprint = resolve_fingerprint(
+        config,
+        lookup_workload(point["workload"]),
+        spec.seed,
+        spec.warmup_events_per_core,
+    )
+    return point_digest(
+        events_per_core=spec.events_per_core,
+        seed=spec.seed,
+        warmup_events_per_core=spec.warmup_events_per_core,
+        llc_bytes=spec.llc_bytes,
+        point=point,
+        fingerprint=fingerprint,
+    )
+
+
+class TestPointMemo:
+    def test_memo_matches_scratch_cold_and_warm(self):
+        spec = SweepSpec.from_payload(MEMO_SPEC)
+        points = spec.points()
+        expected = [scratch_digest(spec, point) for point in points]
+        assert len(set(expected)) == len(points) == 160
+        resolve_point.cache_clear()
+        assert [spec.point_digest(point) for point in points] == expected
+        assert resolve_point.cache_info().misses == len(points)
+        hits = resolve_point.cache_info().hits
+        assert [spec.point_digest(point) for point in points] == expected
+        assert resolve_point.cache_info().hits == hits + len(points)
+        for point in points:
+            assert spec.group_key(point) == spec.resolve(point).fingerprint
+            assert spec.resolve(point).fingerprint_digest == fingerprint_digest(
+                spec.group_key(point)
+            )
+
+    @pytest.mark.parametrize(
+        "ecc, prefix",
+        [(1, "a6b3d8dfa761"), (True, "cbe9bd2719ce"), (1.0, "5a3f310ebfca")],
+    )
+    def test_equal_scalars_keep_distinct_digests(self, ecc, prefix):
+        spec = SweepSpec.from_payload(
+            {"axes": {"workload": ["GUPS"], "ecc_chips": [ecc]}}
+        )
+        [point] = spec.points()
+        assert spec.point_digest(point).startswith(prefix)
+        assert scratch_digest(spec, point).startswith(prefix)
+
+    def test_invalid_point_raises_on_every_call(self):
+        spec = SweepSpec.from_payload(SPEC)
+        bad = {"scheme": "PRA", "workload": "no-such-workload"}
+        size = resolve_point.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                spec.point_digest(bad)
+        assert resolve_point.cache_info().currsize == size
+
+    def test_placement_uses_the_fingerprint_digest(self):
+        spec = SweepSpec.from_payload(MEMO_SPEC)
+        points = spec.points()[::7]
+
+        async def place():
+            sched = PoolScheduler(pools=3)
+            # Queues without drain tasks: points are placed and queued,
+            # never simulated.
+            sched._started = True
+            sched._queues = [asyncio.Queue() for _ in range(3)]
+            tasks = [asyncio.create_task(sched.submit(spec, p)) for p in points]
+            await asyncio.sleep(0)
+            items = [(idx, queue.get_nowait())
+                     for idx, queue in enumerate(sched._queues)
+                     for _ in range(queue.qsize())]
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            return sched, items
+
+        loop = asyncio.new_event_loop()
+        try:
+            sched, items = loop.run_until_complete(place())
+        finally:
+            loop.close()
+        assert len(items) == len(points)
+        expected = {fingerprint_digest(spec.group_key(p)) for p in points}
+        assert set(sched.affinity) == expected
+        for idx, item in items:
+            assert item.fp_key == spec.group_key(item.point)
+            assert sched.affinity[fingerprint_digest(item.fp_key)] == idx
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +258,8 @@ class TestResultStore:
 
     def test_malformed_digest_rejected(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        for bad in ("", "abc", "../../etc/passwd", "AB" * 32, "zz" * 32):
+        for bad in ("", "abc", "../../etc/passwd", "AB" * 32, "zz" * 32,
+                    "ab" * 32 + "\n", "a" * 63, "a" * 65):
             with pytest.raises(ValueError):
                 store.get(bad)
 
@@ -405,6 +532,14 @@ class TestHTTPService:
             with pytest.raises(ServiceError) as excinfo:
                 client.result("not-a-digest")
             assert excinfo.value.status == 400
+
+    def test_malformed_axis_value_is_a_bad_request(self, tmp_path):
+        with running_service(tmp_path) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({"axes": {"workload": [["GUPS"]]}})
+            assert excinfo.value.status == 400
+            assert "must be strings" in excinfo.value.payload["error"]
+            assert client.stats()["jobs"] == 0
 
 
 # ----------------------------------------------------------------------

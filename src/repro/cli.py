@@ -10,9 +10,9 @@ Commands
 ``compare``
     Run several schemes on one workload and print normalized results.
 ``sweep``
-    Run a grid and export CSV/JSON (``--pool N`` for a persistent
-    warm worker pool, ``--workers N`` for a throwaway process pool,
-    ``--batch N`` for the lane-parallel batch kernel).
+    Run a grid and export CSV/JSON (``--pool N`` for a pool of N
+    warm worker processes, ``--batch N`` for the lane-parallel batch
+    kernel; the two combine).
 ``bench``
     Drive a whole figure suite (scheme x workload grid) through one
     persistent pool and print points/sec plus normalized summaries.
@@ -159,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, default=1)
     sweep_p.add_argument("--out", required=True,
                          help="output path (.csv or .json)")
-    sweep_p.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="fan grid points over a throwaway process pool")
     sweep_p.add_argument("--pool", type=int, default=0, metavar="N",
                          help="run the grid on a persistent pool of N warm "
                          "workers (fingerprint-grouped scheduling)")
@@ -207,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "fingerprint groups across")
     serve_p.add_argument("--workers-per-pool", type=int, default=1,
                          metavar="W", help="worker processes per pool")
-    serve_p.add_argument("--max-inflight", type=int, default=2, metavar="N",
-                         help="tasks enqueued per worker before backpressure")
 
     def add_service_endpoint(p: argparse.ArgumentParser) -> None:
         p.add_argument("--host", default="127.0.0.1")
@@ -401,9 +397,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         with SimPool(workers=args.pool) as pool:
             rows = sweep.run(pool=pool, batch=args.batch)
     else:
-        if args.workers is not None:
-            _check_worker_budget("--workers", args.workers)
-        rows = sweep.run(workers=args.workers, batch=args.batch)
+        rows = sweep.run(batch=args.batch)
     if args.out.endswith(".json"):
         sweep.to_json(args.out)
     else:
@@ -582,7 +576,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 pools=args.pools,
                 workers_per_pool=args.workers_per_pool,
-                max_inflight=args.max_inflight,
                 port_file=args.port_file,
             )
         )

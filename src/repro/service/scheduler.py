@@ -57,16 +57,12 @@ class PoolScheduler:
         self,
         pools: int = 2,
         workers_per_pool: int = 1,
-        max_inflight: int = 2,
-        start_method: Optional[str] = None,
         snapshot_dir: Optional[str] = None,
     ) -> None:
         if pools < 1:
             raise ValueError("pools must be a positive integer")
         self.pool_count = pools
         self.workers_per_pool = workers_per_pool
-        self.max_inflight = max_inflight
-        self.start_method = start_method
         self.snapshot_dir = snapshot_dir
         self._pools: List[Optional[SimPool]] = [None] * pools
         self._queues: List["asyncio.Queue[_Item]"] = []
@@ -125,11 +121,7 @@ class PoolScheduler:
         if pool is None or pool.closed:
             if pool is not None:
                 self.pool_rebuilds += 1
-            pool = SimPool(
-                workers=self.workers_per_pool,
-                max_inflight=self.max_inflight,
-                start_method=self.start_method,
-            )
+            pool = SimPool(workers=self.workers_per_pool)
             self._pools[idx] = pool
         return pool
 

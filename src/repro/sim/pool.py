@@ -1,13 +1,13 @@
 """Persistent sweep service: a warm pool of long-lived sim workers.
 
 Every broad evaluation in this repo — the figure/sensitivity benchmark
-suites, ``Sweep.run`` grids, ``ExperimentRunner.run_many`` batches —
-fans simulations out over processes.  A throwaway
-``multiprocessing.Pool`` per sweep makes each worker pay the full cold
-start again: interpreter boot and package import (under the spawn
-start method), trace-block compilation per workload, and a cache
-warmup per warm fingerprint.  :class:`SimPool` keeps the workers
-alive instead:
+suites, ``Sweep.run`` grids, ``ExperimentRunner.run_many`` batches,
+the sweep service — fans simulations out over processes, and
+:class:`SimPool` is the one way it does so.  Fresh processes per sweep
+would make each worker pay the full cold start again: interpreter boot
+and package import (under the spawn start method), trace-block
+compilation per workload, and a cache warmup per warm fingerprint.
+:class:`SimPool` keeps the workers alive instead:
 
 * **warm workers** — each worker process owns the ordinary in-process
   caches (:data:`repro.sim.snapshot.SNAPSHOTS`, the compiled
@@ -46,7 +46,6 @@ the on-disk snapshot layer.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import traceback
 from multiprocessing import connection as mp_connection
@@ -66,7 +65,7 @@ from typing import (
 # through the pool is the fast path; mapping the same task function
 # over the same payloads serially in-process is the oracle it must
 # match bit-for-bit (see e.g. ``repro.sim.sweep.Sweep.run`` with
-# ``workers=None``).
+# ``pool=None``).
 REPRO_FAST_PATH = True
 ORACLE_TWIN = "repro.sim.sweep._run_point"
 ORACLE_TESTS = ("tests/test_pool.py",)
@@ -265,7 +264,8 @@ class SimPool:
         With group keys, indices sharing a key form one group; groups
         go whole to the currently least-loaded worker (largest group
         first, ties broken by first appearance), so every fingerprint
-        warms exactly one worker.  Without keys, indices are split into
+        warms exactly one worker; each worker then runs its groups in
+        first-appearance order.  Without keys, indices are split into
         contiguous runs, preserving grid locality.
         """
         if count == 0:
@@ -284,17 +284,20 @@ class SimPool:
         groups: Dict[Hashable, List[int]] = {}
         for index, key in enumerate(group_keys):
             groups.setdefault(key, []).append(index)
-        ordered = sorted(
-            groups.values(), key=lambda members: (-len(members), members[0])
-        )
-        plan: List[List[int]] = [[] for _ in range(self.workers)]
+        home: Dict[Hashable, int] = {}
         loads = [0] * self.workers
-        for members in ordered:
+        for key in sorted(groups, key=lambda k: (-len(groups[k]), groups[k][0])):
             target = min(range(self.workers), key=lambda w: (loads[w], w))
-            plan[target].extend(members)
-            loads[target] += len(members)
-        # Within one worker, run groups in first-appearance order so a
-        # multi-group worker still sweeps each fingerprint contiguously.
+            home[key] = target
+            loads[target] += len(groups[key])
+        # Within one worker, run groups in first-appearance order (the
+        # dict's insertion order): each fingerprint is still swept
+        # contiguously, and ``stream`` (which releases results in
+        # submission order) is not held back behind larger groups that
+        # appear later in the plan.
+        plan: List[List[int]] = [[] for _ in range(self.workers)]
+        for key, members in groups.items():
+            plan[home[key]].extend(members)
         return plan
 
     # ------------------------------------------------------------------
@@ -498,30 +501,3 @@ class SimPool:
             flat.extend(result)
         return flat
 
-
-# ----------------------------------------------------------------------
-#: Process-wide shared pool (CLI and ad-hoc callers); created lazily.
-_SHARED_POOL: Optional[SimPool] = None
-
-
-def shared_pool(workers: int = 2) -> SimPool:
-    """Return the process-wide :class:`SimPool`, creating it on demand.
-
-    A live shared pool is reused even if ``workers`` differs (the pool
-    is a service, not a per-call resource); close it first to resize.
-    """
-    global _SHARED_POOL
-    if _SHARED_POOL is None or _SHARED_POOL.closed:
-        _SHARED_POOL = SimPool(workers=workers)
-    return _SHARED_POOL
-
-
-def close_shared_pool() -> None:
-    """Tear down the process-wide pool (idempotent; atexit-registered)."""
-    global _SHARED_POOL
-    if _SHARED_POOL is not None:
-        _SHARED_POOL.close()
-        _SHARED_POOL = None
-
-
-atexit.register(close_shared_pool)

@@ -23,15 +23,17 @@ the run plus identification columns).
 Execution backends, all bit-identical row for row:
 
 * serial in-process (the oracle the others must match),
-* ``run(workers=N)`` — a throwaway ``multiprocessing`` pool; the
-  grid-wide invariants (base config, run length, seed, snapshot dir)
-  are shipped once per worker via the pool initializer, so each task
-  payload is just its point dict (the config *delta*), not a full
-  pickled :class:`SystemConfig` per point;
-* ``run(pool=...)`` — a persistent :class:`repro.sim.pool.SimPool`
-  whose warm workers carry snapshot/trace caches across points *and*
-  across sweeps; points are grouped by warm fingerprint so each
-  fingerprint warms exactly one worker;
+* ``run(pool=...)`` — a :class:`repro.sim.pool.SimPool`, the one way
+  to use more than one process.  The grid-wide invariants (base
+  config, run length, seed, snapshot dir) are shipped once per worker
+  per sweep, so each task payload is just its point dict (the config
+  *delta*); warm workers carry snapshot/trace caches across points
+  *and* across sweeps, and points are grouped by warm fingerprint so
+  each fingerprint warms exactly one worker.  For N processes::
+
+      with SimPool(workers=N) as pool:
+          rows = sweep.run(pool=pool)
+
 * ``run(batch=N)`` — the lane-parallel batch kernel
   (:mod:`repro.sim.batch`): up to N points advance together through
   one shared event loop, sharing warm snapshots (copy-on-write) and
@@ -45,7 +47,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import multiprocessing
 import os
 from collections import OrderedDict
 from dataclasses import replace
@@ -107,24 +108,6 @@ def _run_point(ctx: SweepContext, point: Dict) -> Dict:
     return row
 
 
-#: Per-process sweep context for throwaway ``multiprocessing`` pools;
-#: assigned by :func:`_init_worker` before any task runs.
-_WORKER_CTX: List[Optional[SweepContext]] = [None]
-
-
-def _init_worker(ctx: SweepContext) -> None:
-    """Pool initializer: receive the grid-wide invariants once."""
-    _WORKER_CTX[0] = ctx
-
-
-def _run_point_in_worker(point: Dict) -> Dict:
-    """Worker-side task body for ``Pool.map`` (context from initializer)."""
-    ctx = _WORKER_CTX[0]
-    if ctx is None:
-        raise RuntimeError("sweep worker used before initialization")
-    return _run_point(ctx, point)
-
-
 def _available_memory_bytes() -> Optional[int]:
     """Currently available physical memory, or ``None`` if unknowable.
 
@@ -183,7 +166,7 @@ class Sweep:
         ``snapshot_dir`` opts the grid into the on-disk warm-state
         snapshot layer: every scheme/policy point of the same
         (workload, seed) restores one shared post-warmup state instead
-        of replaying warmup — including across ``run(workers=N)``
+        of replaying warmup — including across ``run(pool=...)``
         worker processes, which share no in-process cache.
         """
         self.events_per_core = events_per_core
@@ -247,19 +230,14 @@ class Sweep:
 
     def run(
         self,
-        workers: Optional[int] = None,
         pool: "Optional[SimPool]" = None,
-        mp_start: Optional[str] = None,
         batch: "Optional[Union[int, str]]" = None,
     ) -> List[Dict]:
         """Execute the grid; returns (and stores) one row per point.
 
-        ``pool`` runs the grid on a persistent
-        :class:`repro.sim.pool.SimPool` (warm workers, fingerprint-
-        grouped scheduling).  ``workers`` > 1 fans the points out over
-        a throwaway process pool instead; ``mp_start`` selects its
-        multiprocessing start method (``"spawn"`` models the fully
-        cold worker cost, ``None`` uses the platform default).
+        ``pool`` runs the grid on a :class:`repro.sim.pool.SimPool`
+        (warm workers, fingerprint-grouped scheduling); without one
+        the grid runs in this process.
 
         ``batch=N`` selects the lane-parallel batch kernel
         (:mod:`repro.sim.batch`): points are chunked into lane groups
@@ -276,13 +254,10 @@ class Sweep:
         (:func:`auto_batch_lanes`).
 
         Every point carries the same deterministic seed on every
-        backend and the rows are merged back in grid order, so
-        parallel, pooled and batched sweeps are row-for-row identical
-        to a serial one.
+        backend and the rows are merged back in grid order, so pooled
+        and batched sweeps are row-for-row identical to a serial one.
         """
         tasks = self._tasks()
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be a positive integer")
         if isinstance(batch, str):
             if batch != "auto":
                 raise ValueError(
@@ -302,14 +277,6 @@ class Sweep:
                 shared=ctx,
                 group_keys=[self._group_key(point) for point in tasks],
             )
-        elif workers is not None and workers > 1 and len(tasks) > 1:
-            mp_ctx = multiprocessing.get_context(mp_start)
-            with mp_ctx.Pool(
-                processes=min(workers, len(tasks)),
-                initializer=_init_worker,
-                initargs=(ctx,),
-            ) as mp_pool:
-                self.rows = mp_pool.map(_run_point_in_worker, tasks)
         else:
             self.rows = [_run_point(ctx, task) for task in tasks]
         return self.rows

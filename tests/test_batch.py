@@ -462,14 +462,13 @@ class TestWorkerBudgetGuard:
         err = capsys.readouterr().err
         assert "--pool 3 exceeds the 2 available CPU" in err
 
-    def test_sweep_workers_over_cpu_budget_exits_nonzero(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+    def test_sweep_workers_flag_is_an_argparse_error(self, tmp_path, capsys):
+        # ``--pool N`` is the only way to fan a sweep out over processes.
         out = str(tmp_path / "grid.csv")
-        rc = cli.main(["sweep", "--workers", "8", "--out", out])
-        assert rc == 2
-        assert "--workers 8 exceeds" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--workers", "2", "--out", out])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_bench_pool_over_cpu_budget_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_available_cpus", lambda: 2)

@@ -19,8 +19,6 @@ from repro.sim.pool import (
     SimPoolBrokenError,
     SimPoolError,
     SimPoolTaskError,
-    close_shared_pool,
-    shared_pool,
 )
 from repro.sim.runner import ExperimentRunner
 from repro.sim.snapshot import SNAPSHOTS
@@ -255,6 +253,14 @@ class TestAssignmentPlan:
         plan = pool._assign(7, None)
         assert plan == [[0, 1, 2], [3, 4, 5], [6]]
 
+    def test_worker_runs_groups_in_first_appearance_order(self):
+        # Placement is largest group first, but a worker's run order
+        # follows first appearance, so ``stream`` can release index 0
+        # as soon as it finishes instead of after the larger groups.
+        pool = SimPool.__new__(SimPool)
+        pool.workers = 1
+        assert pool._assign(5, ["a", "b", "b", "c", "c"]) == [[0, 1, 2, 3, 4]]
+
     def test_key_count_mismatch_rejected(self):
         pool = SimPool.__new__(SimPool)
         pool.workers = 2
@@ -264,21 +270,6 @@ class TestAssignmentPlan:
 
 # ----------------------------------------------------------------------
 class TestSharedPool:
-    def test_shared_pool_is_reused_and_closable(self):
-        close_shared_pool()
-        pool = shared_pool(workers=1)
-        try:
-            assert shared_pool() is pool
-            assert pool.map(_square, [3], shared={"scale": 1}) == [9]
-        finally:
-            close_shared_pool()
-        assert pool.closed
-        replacement = shared_pool(workers=1)
-        try:
-            assert replacement is not pool
-        finally:
-            close_shared_pool()
-
     def test_pool_runs_sweep_task_fn_directly(self):
         # The oracle-twin pairing in miniature: the exact worker-side
         # task function, fed through the pool, matches calling it

@@ -20,9 +20,9 @@ section of ``BENCH_throughput.json`` so CI archives them per commit.
 The floor is 3x locally; CI sets ``REPRO_SWEEP_SPEEDUP_FLOOR=2`` to
 absorb shared-runner jitter.
 
-``test_batch_sweep_speedup`` adds the third backend: the lane-parallel
-batch kernel (``Sweep.run(batch=N)``, :mod:`repro.sim.batch`) on the
-same 24-point grid at *screening* fidelity — a realistic 2 MB LLC and
+``test_batch_sweep_speedup`` adds the third backend: the batch kernel
+(``Sweep.run(batch=N)``, :mod:`repro.sim.batch`) on the same 24-point
+grid at *screening* fidelity — a realistic 2 MB LLC and
 a handful of timed events per point, the regime sensitivity screens
 actually run in, where per-point construction / restore / IPC dominate
 and batching is designed to win.  Its numbers land in the ``_batch``
@@ -121,8 +121,9 @@ def test_sweep_pool_speedup():
 #: Screening fidelity: a realistic full-size LLC and a handful of timed
 #: events per point.  Here per-point overhead — cache construction,
 #: warm-state restore, task IPC — dominates the wall time, which is
-#: exactly the regime the batch kernel amortizes: one shared event loop,
-#: copy-on-write snapshot restores, one task message per lane group.
+#: exactly the regime the batch kernel amortizes: one GC-paused
+#: construction pass over lane-major slabs, copy-on-write snapshot
+#: restores, one task message per lane group.
 BATCH_LLC_BYTES = 2 * 1024 * 1024
 BATCH_EVENTS = 2
 BATCH_REPEATS = 3
@@ -175,8 +176,8 @@ def test_batch_sweep_speedup():
         pooled_s = _best_of(lambda: make_batch_sweep().run(pool=pool))
         pooled_rows = make_batch_sweep().run(pool=pool)
 
-    # Batched arm: the whole grid as one lane group through one shared
-    # event loop, in-process.
+    # Batched arm: the whole grid as one lane group, built together and
+    # run back to back, in-process.
     make_batch_sweep().run(batch=points)  # untimed: triggers lazy imports
     batch_s = _best_of(lambda: make_batch_sweep().run(batch=points))
     batch_rows = make_batch_sweep().run(batch=points)
@@ -199,10 +200,6 @@ def test_batch_sweep_speedup():
     update_results("_batch", {
         "grid_points": points,
         "batch_lanes": points,
-        # Cohort stepping: same-cycle lanes screened column-wise
-        # across the lane-major slabs (PR 7) rather than stepped one
-        # scalar probe at a time.
-        "vectorized": True,
         "events_per_core": BATCH_EVENTS,
         "warmup_events_per_core": WARMUP,
         "llc_bytes": BATCH_LLC_BYTES,

@@ -163,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the grid on a persistent pool of N warm "
                          "workers (fingerprint-grouped scheduling)")
     sweep_p.add_argument("--batch", type=_batch_arg, default=None, metavar="N",
-                         help="advance up to N grid points per shared event "
-                         "loop (lane-parallel batch kernel); combines with "
+                         help="build up to N grid points together and run "
+                         "them back to back (batch kernel); combines with "
                          "--pool to ship whole lane groups per worker task; "
                          "'auto' sizes the lane count from the grid and "
                          "available memory")
@@ -474,15 +474,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _profiled(func: Callable[..., int], *args: object) -> int:
-    """Run ``func`` under cProfile; print the top 25 cumulative entries.
-
-    Batched sweeps (``sweep --batch ... --profile``) additionally get
-    the subsystem attribution table (:func:`_print_batch_attribution`):
-    the flat top-25 is dominated by whichever helper happens to be
-    hottest, while the table answers the question batching poses —
-    how much time ran through the cross-lane kernel ops versus the
-    residual scalar controller steps.
-    """
+    """Run ``func`` under cProfile; print the top 25 cumulative entries."""
     import cProfile
     import pstats
 
@@ -492,62 +484,6 @@ def _profiled(func: Callable[..., int], *args: object) -> int:
     finally:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.sort_stats("cumulative").print_stats(25)
-        ns = args[0] if args else None
-        if getattr(ns, "batch", None) is not None:
-            _print_batch_attribution(stats)
-
-
-#: ``--profile`` attribution buckets for batched sweeps: subsystem
-#: label -> module path suffixes whose *exclusive* time it collects.
-_BATCH_PROFILE_BUCKETS: "tuple[tuple[str, tuple[str, ...]], ...]" = (
-    ("vectorized kernel ops", ("repro/dram/soa_batch.py",)),
-    ("cohort event loop", ("repro/sim/batch.py",)),
-    (
-        "scalar controller steps",
-        ("repro/controller/memctrl.py", "repro/dram/channel.py"),
-    ),
-    (
-        "construction + restore",
-        (
-            "repro/cache/set_assoc.py",
-            "repro/cache/dbi.py",
-            "repro/sim/system.py",
-            "repro/sim/snapshot.py",
-        ),
-    ),
-)
-
-
-def _print_batch_attribution(stats: "object") -> None:
-    """Print the batched-sweep profile attribution table.
-
-    Buckets every profile entry's exclusive (tottime) samples by the
-    module suffixes in :data:`_BATCH_PROFILE_BUCKETS`; entries
-    matching no bucket land in ``everything else``.  Exclusive time
-    sums to the whole profile, so the percentages partition 100%.
-    """
-    entries = getattr(stats, "stats", None)
-    if not entries:
-        return
-    totals = {name: 0.0 for name, _ in _BATCH_PROFILE_BUCKETS}
-    other = 0.0
-    grand = 0.0
-    for (filename, _, _), (_, _, tottime, _, _) in entries.items():
-        grand += tottime
-        path = filename.replace("\\", "/")
-        for name, suffixes in _BATCH_PROFILE_BUCKETS:
-            if path.endswith(suffixes):
-                totals[name] += tottime
-                break
-        else:
-            other += tottime
-    if not grand:
-        return
-    print("=== batched sweep attribution (exclusive time) ===")
-    for name, _ in _BATCH_PROFILE_BUCKETS:
-        seconds = totals[name]
-        print(f"  {name:<26}{seconds:8.3f} s  ({100 * seconds / grand:5.1f}%)")
-    print(f"  {'everything else':<26}{other:8.3f} s  ({100 * other / grand:5.1f}%)")
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

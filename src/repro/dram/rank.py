@@ -21,7 +21,7 @@ the channel's shared :class:`~repro.dram.soa.TimingCore` arrays at
 flat-array hot loops, the batch kernel's lane-major slabs and this
 object API always agree.  Only the tFAW window, power-down exit timing
 and background-residency integration stay plain attributes: they are
-touched on cold paths and never screened column-wise.
+touched on cold paths only.
 
 The per-bank :class:`Bank` views are built lazily on first access:
 they carry no state of their own (everything lives in the core

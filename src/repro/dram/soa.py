@@ -28,11 +28,10 @@ Encoding conventions:
   (``Rank.powered_down`` translates to/from ``bool``),
 * ``next_refresh[r]`` is the rank's next refresh deadline.
 
-The last two moved here from plain ``Rank`` attributes so the batch
-kernel's lane-major slabs (:mod:`repro.dram.soa_batch`) carry the full
-idle-screen state: whether a lane's channel can possibly issue anything
-(open banks, pending refresh, power-down residency) is then answerable
-column-wise across lanes without touching the ``Rank`` objects.
+The last two moved here from plain ``Rank`` attributes, so the batch
+kernel's lane-major slabs (:mod:`repro.dram.soa_batch`) hold every
+per-rank field the scheduler reads; ``Rank`` keeps properties over the
+same storage.
 
 :data:`TIMING_FIELDS` declares the per-bank and per-rank fields once.
 The slab allocates one lane-major column per entry and rebinds lane

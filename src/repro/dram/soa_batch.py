@@ -4,7 +4,7 @@
 leading *lane* dimension: every flat per-(rank,bank) and per-rank
 vector declared in :data:`~repro.dram.soa.TIMING_FIELDS` becomes a
 matrix whose row ``lane`` is one grid point's channel state.  The
-batch event loop (:mod:`repro.sim.batch`) allocates one slab per
+batch kernel (:mod:`repro.sim.batch`) allocates one slab per
 channel index and hands each lane its row set via :meth:`lane` — a
 real :class:`TimingCore` whose slots *are* the slab rows, so the
 controller's scheduling passes (which bind the arrays as locals and
@@ -25,24 +25,15 @@ Why the *hot path* stays scalar per lane: the FR-FCFS scheduler is
 deeply data-dependent (burst-streak commits, useless-row masks) and
 lanes sit at different cycles, so cross-lane SIMD of ``step()`` cannot
 be bit-identical.  CPython also indexes plain lists faster than numpy
-scalars.  The lane dimension instead amortizes allocation, snapshot
-restore and event-loop interpreter overhead — see DESIGN.md §7.
-
-What *is* vectorized across lanes are the **cohort kernel ops** at the
-bottom of this module (:func:`open_row_hits`, :func:`refresh_due`,
-:func:`power_down_resident`, :func:`next_wake_min`): read-only
-column-wise reductions over the lane-major matrices for every lane
-sharing a wake cycle.  The cohort-stepping loop
-(:meth:`repro.sim.batch.BatchSystem.run`) uses them to feed the idle
-screen (:func:`repro.sim.batch._screened_wake`) and recompute wake
-hints for whole cohorts without entering per-lane scheduler code.
-Both backends return identical plain Python values.
+scalars.  The lane dimension instead amortizes allocation and snapshot
+restore — see DESIGN.md §7.  Nothing reads the slabs column-wise
+during a run: each lane runs alone through its own row views.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.dram.soa import TIMING_FIELDS, TimingCore
 
@@ -200,95 +191,3 @@ class BatchTimingCore:
             setattr(core, name, rows[lane])
         return core
 
-
-# ----------------------------------------------------------------------
-# Cohort kernel ops: column-wise reductions over lane subsets.
-#
-# Each op takes the slab plus the *slots* (lane indices) of a cohort —
-# the lanes whose event loops woke at the same cycle — and evaluates one
-# screen ingredient for all of them at once.  The numpy path gathers the
-# cohort's rows into a single array op; the list path reduces per lane.
-# Both return plain Python ints/bools so results are backend-invariant,
-# and neither mutates anything.
-# ----------------------------------------------------------------------
-
-
-def open_row_hits(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
-    """Per-lane union of rank open-bank bitmasks, one per cohort slot.
-
-    A lane with result ``0`` has no open row anywhere on the channel —
-    no row hit is possible and no precharge/close housekeeping is
-    pending, one leg of the idle screen.  A nonzero result is the
-    OR-fold of ``open_bits`` across the lane's ranks (which banks could
-    still serve hits).
-    """
-    open_bits = slab.columns["open_bits"]
-    if slab.backend == "numpy":
-        assert _numpy is not None
-        rows = _numpy.array([open_bits[s] for s in slots], dtype=_numpy.int64)
-        out: List[int] = _numpy.bitwise_or.reduce(rows, axis=1).tolist()
-        return out
-    result = []
-    for s in slots:
-        bits = 0
-        for b in open_bits[s]:
-            bits |= b
-        result.append(bits)
-    return result
-
-
-def refresh_due(slab: BatchTimingCore, slots: Sequence[int]) -> List[int]:
-    """Earliest refresh deadline per cohort lane (min over ranks).
-
-    A lane whose result is ``<= cycle`` has a refresh due *now* and
-    must take the scalar path; otherwise the value is exactly the idle
-    wake hint the scalar controller would return for an empty channel
-    (``min(next_refresh)``), which lets the cohort loop re-arm screened
-    lanes without calling ``step()``.
-    """
-    next_refresh = slab.columns["next_refresh"]
-    if slab.backend == "numpy":
-        assert _numpy is not None
-        rows = _numpy.array([next_refresh[s] for s in slots], dtype=_numpy.int64)
-        out: List[int] = rows.min(axis=1).tolist()
-        return out
-    return [min(next_refresh[s]) for s in slots]
-
-
-def power_down_resident(
-    slab: BatchTimingCore, slots: Sequence[int]
-) -> List[bool]:
-    """Whether *every* rank of each cohort lane sits in power-down.
-
-    Only meaningful for power-down schemes: an idle lane with a rank
-    still out of power-down owes a PD-entry command and cannot be
-    screened.  Non-PD schemes skip this op entirely.
-    """
-    pd = slab.columns["pd"]
-    if slab.backend == "numpy":
-        assert _numpy is not None
-        rows = _numpy.array([pd[s] for s in slots], dtype=_numpy.int64)
-        out: List[bool] = rows.all(axis=1).tolist()
-        return out
-    return [all(pd[s]) for s in slots]
-
-
-def next_wake_min(
-    candidates: Sequence[Sequence[int]], backend: str
-) -> List[int]:
-    """Row-wise min over per-lane wake-candidate rows.
-
-    Each row collects one lane's wake candidates: its controller wake
-    hints, its core event horizon ``core_min`` and its external-event
-    ``limit``.  The result is the lane's next event cycle.  Rows must be
-    non-empty; the fold does no clamping (the caller bumps a result at
-    or below the current cycle to ``cycle + 1``).
-    """
-    if backend == "numpy" and HAVE_NUMPY:
-        assert _numpy is not None
-        widths = {len(row) for row in candidates}
-        if len(widths) == 1:
-            arr = _numpy.array(candidates, dtype=_numpy.int64)
-            out: List[int] = arr.min(axis=1).tolist()
-            return out
-    return [min(row) for row in candidates]

@@ -34,11 +34,10 @@ Execution backends, all bit-identical row for row:
       with SimPool(workers=N) as pool:
           rows = sweep.run(pool=pool)
 
-* ``run(batch=N)`` — the lane-parallel batch kernel
-  (:mod:`repro.sim.batch`): up to N points advance together through
-  one shared event loop, sharing warm snapshots (copy-on-write) and
-  compiled trace blocks; combines with ``pool`` to ship whole lane
-  groups per task.  ``batch="auto"`` sizes the lane count from the
+* ``run(batch=N)`` — the batch kernel (:mod:`repro.sim.batch`): up
+  to N points are built together, sharing warm snapshots
+  (copy-on-write) and compiled trace blocks, then run back to back;
+  combines with ``pool`` to ship whole lane groups per task.  ``batch="auto"`` sizes the lane count from the
   grid and available memory (:func:`auto_batch_lanes`).
 """
 
@@ -128,8 +127,8 @@ def auto_batch_lanes(num_points: int, base_config: SystemConfig) -> int:
     """Lane count for ``batch="auto"``: the whole grid, memory permitting.
 
     The batch kernel's sweet spot is one lane group for the entire
-    grid (maximum construction/event-loop sharing), so that is the
-    default answer.  Each lane's dominant resident cost is its private
+    grid (maximum construction sharing: one slab allocation, one
+    snapshot restore pass), so that is the default answer.  Each lane's dominant resident cost is its private
     LLC tag state (three flat 8-byte arrays per slot, plus privatized
     per-set dicts as it diverges from the shared snapshot); the
     estimate below envelopes that at one byte of lane state per two
@@ -239,13 +238,12 @@ class Sweep:
         (warm workers, fingerprint-grouped scheduling); without one
         the grid runs in this process.
 
-        ``batch=N`` selects the lane-parallel batch kernel
-        (:mod:`repro.sim.batch`): points are chunked into lane groups
-        of up to N and each group advances through one shared
-        :class:`~repro.sim.batch.BatchSystem` event loop.  Groups are
-        cut along warm-fingerprint order so lanes in a group share
-        snapshots and trace blocks.  Combines with ``pool``: each lane
-        group then ships whole to a warm worker
+        ``batch=N`` selects the batch kernel (:mod:`repro.sim.batch`):
+        points are chunked into lane groups of up to N and each group
+        is built and run as one :class:`~repro.sim.batch.BatchSystem`.
+        Groups are cut along warm-fingerprint order so lanes in a group
+        share snapshots and trace blocks.  Combines with ``pool``: each
+        lane group then ships whole to a warm worker
         (:meth:`~repro.sim.pool.SimPool.map_groups`), amortizing the
         per-point IPC as well.
 
@@ -294,8 +292,8 @@ class Sweep:
         then cut into groups of up to ``batch`` lanes: a group whose
         lanes share a fingerprint restores from one warm snapshot
         (copy-on-write) and shares one compiled trace-block set, and a
-        group spanning fingerprints still amortizes the event-loop
-        interpreter overhead.  Rows come back in grid order regardless.
+        group spanning fingerprints still shares one slab allocation
+        and one GC-paused construction pass.  Rows come back in grid order regardless.
         """
         # Imported here: repro.sim.batch imports this module at top
         # level (for SweepContext/_apply_point), so the lazy import

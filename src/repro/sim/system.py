@@ -377,9 +377,9 @@ class System:
         A controller is stepped only when its wake cycle arrives or a
         new request dirties it, so the per-cycle Python overhead is paid
         only on cycles where something can actually change.  The loop
-        state and the per-pass step live in :class:`_Lane`; a serial
-        run is a batch of one lane (:mod:`repro.sim.batch` interleaves
-        many on a shared heap).
+        state, the per-pass step and the loop itself live in
+        :class:`_Lane`; a serial run is a batch of one lane
+        (:mod:`repro.sim.batch` runs many lanes back to back).
 
         ``strict_polling=True`` selects the reference scan-everything
         loop (:meth:`_run_polling`), kept as a debug oracle: both paths
@@ -388,10 +388,7 @@ class System:
         """
         if strict_polling:
             return self._run_polling(max_cycles)
-        lane = _Lane(0, self, max_cycles)
-        while lane.advance() is not None:
-            pass
-        return lane.finalize()
+        return _Lane(self, max_cycles).run()
 
     # ------------------------------------------------------------------
     def _run_polling(self, max_cycles: Optional[int] = None) -> SimResult:
@@ -523,17 +520,15 @@ class System:
 
 
 class _Lane:
-    """One System's event-loop state and its single per-pass step.
+    """One System's event-loop state, its per-pass step and its loop.
 
-    :meth:`System.run` drives one lane until :meth:`advance` returns
-    ``None``; the batch kernel (:mod:`repro.sim.batch`) keys many lanes
-    on a shared heap and advances whichever is due.  Either way each
-    lane sees the same pass sequence, so a batched lane's result is its
-    serial result.
+    :meth:`run` is the event loop of both execution paths:
+    :meth:`System.run` calls it for a serial run and the batch kernel
+    (:mod:`repro.sim.batch`) calls it for each lane in turn.  Either way a lane sees the same pass
+    sequence, so a batched lane's result is its serial result.
     """
 
     __slots__ = (
-        "index",
         "system",
         "max_cycles",
         "cycle",
@@ -542,10 +537,7 @@ class _Lane:
         "core_next",
     )
 
-    def __init__(
-        self, index: int, system: System, max_cycles: Optional[int] = None
-    ) -> None:
-        self.index = index
+    def __init__(self, system: System, max_cycles: Optional[int] = None) -> None:
         self.system = system
         self.max_cycles = max_cycles
         self.cycle = 0
@@ -563,6 +555,24 @@ class _Lane:
         self.core_next = [0] * len(system.cores)
 
     # ------------------------------------------------------------------
+    def run(self) -> SimResult:
+        """Advance pass by pass until the lane finishes, then summarize.
+
+        The run ends at the later of the last event cycle and any
+        controller's local clock; the sampler is closed and background
+        state flushed there.
+        """
+        while self.advance() is not None:
+            pass
+        system = self.system
+        end_cycle = self.cycle
+        for ctrl in system.controllers:
+            if ctrl.local_clock > end_cycle:
+                end_cycle = ctrl.local_clock
+        if system.sampler is not None:
+            system.sampler.finalize(end_cycle, system)
+        return system._finalize(end_cycle)
+
     def advance(self) -> Optional[int]:
         """One pass of the event loop at ``self.cycle``.
 
@@ -570,7 +580,7 @@ class _Lane:
         external-event horizon, batch-run due/dirtied controllers,
         check termination (then the ``max_cycles`` stop), pick the next
         event cycle.  Returns the lane's next event cycle, or ``None``
-        when the lane finished (then call :meth:`finalize`).
+        when the lane finished.
         """
         system = self.system
         cycle = self.cycle
@@ -684,17 +694,6 @@ class _Lane:
                 nxt = cr[0][0]
         self.cycle = nxt if nxt > cycle else cycle + 1
         return self.cycle
-
-    def finalize(self) -> SimResult:
-        """Close the sampler, flush background state and summarize."""
-        system = self.system
-        end_cycle = self.cycle
-        for ctrl in system.controllers:
-            if ctrl.local_clock > end_cycle:
-                end_cycle = ctrl.local_clock
-        if system.sampler is not None:
-            system.sampler.finalize(end_cycle, system)
-        return system._finalize(end_cycle)
 
 
 def simulate(

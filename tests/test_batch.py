@@ -11,15 +11,12 @@ and ``SimPool.map_groups`` integration layers, the CLI worker-budget
 guard, and a hypothesis property test driving randomized lane
 counts/configs through the kernel.
 
-PR 7 adds cohort stepping (same-cycle lanes screened column-wise):
-the suite pins the cohort loop bit-identical to the PR-6
-one-lane-per-pop interleaving (``run(_cohort=False)``) on random lane
-cohorts across both backends, and covers the cohort kernel ops
-(``open_row_hits`` / ``refresh_due`` / ``next_wake_min`` /
-``power_down_resident``) including slab-row aliasing of the ``pd`` /
-``next_refresh`` columns, plus ``batch="auto"`` lane sizing.  The
-``TimingCore`` slots are pinned to the shared ``TIMING_FIELDS`` schema
-the slab allocates from.
+Each lane runs to completion before the next one starts, so the suite
+also pins lane *order* as irrelevant: a reversed batch with duplicate
+specs (lanes sharing one snapshot copy-on-write) gives every lane the
+same result.  It also covers ``batch="auto"`` lane sizing and pins the
+``TimingCore`` slots to the shared ``TIMING_FIELDS`` schema the slab
+allocates from.
 """
 
 import pytest
@@ -34,10 +31,6 @@ from repro.dram.soa_batch import (
     BatchTimingCore,
     HAVE_NUMPY,
     default_backend,
-    next_wake_min,
-    open_row_hits,
-    power_down_resident,
-    refresh_due,
 )
 from repro.sim.batch import BatchSystem, simulate_batch
 from repro.sim.config import CacheConfig, SystemConfig
@@ -260,13 +253,7 @@ class TestSlab:
 
 
 # ----------------------------------------------------------------------
-#: Both slab backends, numpy skipped where unavailable.
-both_backends = pytest.mark.parametrize(
-    "backend",
-    [pytest.param("numpy", marks=needs_numpy), "list"],
-)
-
-#: Randomized lane mixes shared by the cohort/serial property tests:
+#: Randomized lane mixes for the serial-oracle property test:
 #: schemes and workloads sampled with repetition, so duplicate specs
 #: exercise multi-lane fingerprint groups sharing one snapshot.
 _SCHEME_NAMES = ["Baseline", "PRA", "SDS", "DBI+PRA"]
@@ -280,110 +267,6 @@ lane_choices = st.lists(
     min_size=1,
     max_size=5,
 )
-
-
-class TestCohortKernelOps:
-    """Column-wise cohort ops: correctness on both backends, plus the
-    slab-row aliasing contract for the PR-7 ``pd`` / ``next_refresh``
-    columns (all mutations go through *lane views*, so a passing test
-    proves the views alias the rows the ops read)."""
-
-    @staticmethod
-    def _slab(backend):
-        slab = BatchTimingCore(4, 2, 4, backend=backend)
-        lane1, lane3 = slab.lane(1), slab.lane(3)
-        lane1.open_bits[0] = 0b0101
-        lane1.next_refresh[:] = [700, 640]
-        lane1.pd[:] = [1, 1]
-        lane3.open_bits[1] = 0b1000
-        lane3.next_refresh[:] = [500, 900]
-        lane3.pd[0] = 1
-        return slab
-
-    @both_backends
-    def test_open_row_hits(self, backend):
-        slab = self._slab(backend)
-        assert open_row_hits(slab, [1, 3, 0]) == [0b0101, 0b1000, 0]
-
-    @both_backends
-    def test_refresh_due_aliases_lane_views(self, backend):
-        slab = self._slab(backend)
-        assert refresh_due(slab, [1, 3, 0]) == [640, 500, 0]
-        slab.lane(3).next_refresh[1] = 450  # view write, column read
-        assert refresh_due(slab, [3]) == [450]
-
-    @both_backends
-    def test_power_down_resident_aliases_lane_views(self, backend):
-        slab = self._slab(backend)
-        assert power_down_resident(slab, [1, 3, 0]) == [True, False, False]
-        slab.lane(3).pd[1] = 1
-        assert power_down_resident(slab, [3]) == [True]
-
-    @both_backends
-    def test_next_wake_min(self, backend):
-        assert next_wake_min([[7, 3, 9], [4, 4, 4]], backend) == [3, 4]
-        # Ragged rows (lanes with different candidate counts) must fall
-        # back cleanly on the numpy backend.
-        assert next_wake_min([[5], [2, 8], [6, 1, 7]], backend) == [5, 2, 1]
-
-    @needs_numpy
-    def test_backends_agree(self):
-        a, b = self._slab("numpy"), self._slab("list")
-        slots = [3, 1, 0, 2]
-        assert open_row_hits(a, slots) == open_row_hits(b, slots)
-        assert refresh_due(a, slots) == refresh_due(b, slots)
-        assert power_down_resident(a, slots) == power_down_resident(b, slots)
-
-
-# ----------------------------------------------------------------------
-class TestCohortStepping:
-    """Cohort stepping (PR 7) vs the PR-6 one-lane-per-pop loop.
-
-    ``BatchSystem.run(_cohort=False)`` is the retained interleaved
-    loop; the cohort fast path must be bit-identical to it on any lane
-    mix — it is the same screened controllers, re-armed column-wise.
-    """
-
-    @both_backends
-    def test_cohort_matches_interleaved_and_serial(self, backend):
-        specs = _specs()
-        serial = _serial(specs)
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, EVENTS, warmup_events_per_core=WARMUP, backend=backend
-        )
-        interleaved = [r.to_dict() for r in batch.run(_cohort=False)]
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, EVENTS, warmup_events_per_core=WARMUP, backend=backend
-        )
-        cohort = [r.to_dict() for r in batch.run()]
-        assert interleaved == serial
-        assert cohort == serial
-
-    @both_backends
-    @given(lanes=lane_choices, events=st.integers(min_value=50, max_value=250))
-    @settings(max_examples=4, deadline=None)
-    def test_random_cohorts_match_interleaved_loop(self, backend, lanes, events):
-        # Random lane cohorts: mixed schemes, duplicate specs (multi-
-        # lane fingerprint groups), and a forced DBI+PRA lane so every
-        # example mixes warm fingerprints and cold + snapshot-restored
-        # lanes.  Both arms start from a cold snapshot cache so their
-        # cold/restored structure is identical.
-        base = SystemConfig(cache=CacheConfig(llc_bytes=64 * 1024))
-        lanes = lanes + [("DBI+PRA", "MIX1")]
-        specs = [(base.with_scheme(by_name(s)), wl) for s, wl in lanes]
-        warmup = 600
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, events, warmup_events_per_core=warmup, backend=backend
-        )
-        interleaved = [r.to_dict() for r in batch.run(_cohort=False)]
-        SNAPSHOTS.clear()
-        batch = BatchSystem(
-            specs, events, warmup_events_per_core=warmup, backend=backend
-        )
-        assert [r.to_dict() for r in batch.run()] == interleaved
 
 
 # ----------------------------------------------------------------------
@@ -529,3 +412,18 @@ def test_randomized_batches_match_serial(lanes, events):
     SNAPSHOTS.clear()
     results = simulate_batch(specs, events, warmup_events_per_core=warmup)
     assert [r.to_dict() for r in results] == serial
+
+
+def test_lane_order_does_not_change_lane_results():
+    # Lanes run back to back, so a lane that finishes first must leave
+    # nothing behind for the next: reversing the batch (which also
+    # swaps which lane of each fingerprint group warms cold and which
+    # restore copy-on-write) keeps every lane's result.
+    specs = _specs(workloads=("MIX1",))
+    specs = specs + [specs[1], specs[3]]  # duplicate PRA and DBI+PRA lanes
+    assert [config.scheme.name for config, _ in specs].count("DBI+PRA") == 2
+    SNAPSHOTS.clear()
+    forward = simulate_batch(specs, EVENTS, warmup_events_per_core=WARMUP)
+    SNAPSHOTS.clear()
+    backward = simulate_batch(specs[::-1], EVENTS, warmup_events_per_core=WARMUP)
+    assert [r.to_dict() for r in backward[::-1]] == [r.to_dict() for r in forward]
